@@ -1,26 +1,50 @@
-"""The fault-aware event loop shared by the serving and fleet shapes.
+"""The one event loop: every serving, fleet and chaos run executes here.
 
-This module is the execution core of :mod:`repro.faults`: one event loop
-that runs both the single-device shape (:func:`simulate_with_faults`,
-returning a :class:`repro.serving.metrics.ServingReport`) and the fleet
-shape (:func:`simulate_fleet_with_faults`, returning a
-:class:`repro.fleet.report.FleetReport`).  The plain loops in
-:mod:`repro.serving.simulator` and :mod:`repro.fleet.simulator` delegate
-here when (and only when) a fault spec, retry policy, or deadline is
-given, so the fault-free paths are untouched — their trace CSVs stay
-byte-identical to the pre-fault goldens by construction.
+:func:`repro.serving.simulator.simulate` and
+:func:`repro.fleet.simulator.simulate_fleet` validate their own inputs,
+build a device list and hand it to :class:`_Engine`, the single
+discrete-event loop of the package.  The two *shapes* differ only in
+what surrounds the loop:
 
-The loop generalizes the fleet event loop with a third event kind,
-:data:`repro.serving.events.FAULT`, carrying per-device fault
-transitions (crash / recover / slowdown open / slowdown close) drawn
-lazily from a :class:`repro.faults.FaultInjector`.  The total event
-order is the documented :mod:`repro.serving.events` contract:
-completions due at an instant stamp before a simultaneous fault applies
-(an occupancy ending at the crash instant still counts), faults apply
-before arrivals route (an arrival at the crash instant already sees the
-device down), and arrivals are delivered before idle devices plan.
-Client retries and hedge timers re-enter through the arrival stage via
-a dedicated retry heap, with source arrivals first at equal timestamps.
+* the **serving shape** runs one :class:`repro.fleet.device.Device` with
+  no router (every request goes to device 0) and returns a
+  :class:`repro.serving.metrics.ServingReport`;
+* the **fleet shape** runs N devices behind a
+  :class:`repro.fleet.router.Router` and returns a
+  :class:`repro.fleet.report.FleetReport` (trace rows carry the routed
+  device, metrics are kept per device as well as fleet-wide).
+
+The loop itself is identical for both.  Each pass is one *event* — the
+definition, and the total order of simultaneous events the
+byte-identical-trace guarantee rests on, live in
+:mod:`repro.serving.events`: deliver the arrivals due now, plan every
+touched idle device (:meth:`_Engine._plan` through
+:meth:`repro.fleet.device.Device.maybe_start`), then advance the clock,
+routing in passing every arrival that lands on a device unable to act on
+it yet, and stamp the completions and apply the fault transitions due at
+the next instant.
+
+Fault handlers
+--------------
+
+Resilience plugs into the loop's boundaries as handlers, each inert
+when its spec is None:
+
+* **completion** — flaky verdicts (client retry or ``failed``),
+  deadline time-outs and hedge wins (:meth:`_Engine._member_done`);
+* **fault** — crash, recover and slowdown transitions drawn lazily from
+  a :class:`repro.faults.FaultInjector` as
+  :data:`repro.serving.events.FAULT` events (:meth:`_Engine._fault`);
+* **delivery** — client retries and hedge timers re-enter through the
+  arrival stage from a retry heap, source arrivals first at equal
+  timestamps (:meth:`_Engine._deliver_retries`);
+* **planning** — a per-device :class:`FaultGate` lets the scheduler shed
+  expired requests, reprice slowed steps and cap coalescing at fault
+  boundaries and deadline expiries.
+
+With ``faults``, ``retry`` and ``deadline_s`` all None no gate is
+attached and no handler runs, so fault-free traces stay byte-identical
+to the golden hashes pinned before the fault subsystem existed.
 
 Determinism under coalescing
 ----------------------------
@@ -31,9 +55,12 @@ is handed the time of its next scheduled fault through the attached
 across it (see :mod:`repro.serving.scheduler`).  The straddling step is
 planned as its own single-step occupancy in coalesced and step-by-step
 runs alike, and planning only ever happens on idle devices — at instants
-both runs share — so crash aborts, slowdown repricing, shedding and
-retries land on identical state either way: ``max_steps=1`` and
-coalesced fault runs produce byte-identical traces.
+both runs share — so crash aborts, slowdown repricing and retries land
+on identical state either way.  Deadline expiry is interesting too: a
+coalesced window ends at the first step boundary at which a queued (or
+still arriving) request could be shed, so shedding — and the queue
+lengths routers read — happen at the same instants as in the
+``max_steps=1`` reference.
 
 Crash semantics
 ---------------
@@ -46,21 +73,24 @@ pays a fresh re-prefill (and re-spill) wherever it lands — and re-routes
 the survivors immediately at the crash instant against the live device
 states.  Health-aware policies (``get_router("failover")``, or any
 router built with ``exclude_unhealthy=True``) steer them around the
-dead replica; recovery re-admits it.
+dead replica; recovery re-admits it.  A serving-shape crash has nowhere
+to fail over to: evicted requests re-queue on the same device and wait
+out the recovery.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
+from repro.api.request import InferenceRequest
 from repro.fleet.device import Device
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport
-from repro.fleet.router import JoinShortestQueueRouter, Router
+from repro.fleet.report import FLEET_TRACE_CSV_FIELDS
+from repro.fleet.router import Router
 from repro.obs.recorder import record_request_phases
 from repro.serving.events import COMPLETION, FAULT, EventQueue
 from repro.serving.metrics import (
-    ServingReport,
     SLOSpec,
     StreamedMetrics,
     TRACE_CSV_FIELDS,
@@ -68,6 +98,7 @@ from repro.serving.metrics import (
     trace_values,
 )
 from repro.serving.request import RequestRecord, ServingRequest
+from repro.serving.simulator import _ordered_requests
 from repro.serving.stream import TraceSink, TraceStreamer
 
 from repro.faults.report import FaultReport
@@ -81,38 +112,131 @@ from repro.faults.spec import (
     RetryPolicy,
 )
 
-__all__ = ["FaultGate", "simulate_with_faults", "simulate_fleet_with_faults"]
+__all__ = ["FaultGate"]
 
 #: Retry-heap actions: a scheduled client retry, and a hedge timer.
 _RETRY = 0
 _HEDGE = 1
 
-#: Consecutive clock advances driven purely by fault events (no request
-#: progress) before the loop declares itself wedged.  Random fault
+#: Consecutive fault events with no completion and no delivery in
+#: between before the loop declares itself wedged.  Random fault
 #: schedules are infinite, so a run that can no longer make progress
 #: would otherwise spin through crash/recover cycles forever.
 _MAX_IDLE_FAULTS = 10_000
+
+
+class _ArrivalSource:
+    """Arrival cursor over the request stream, in (arrival, id) order.
+
+    ``head_time`` — the next undelivered arrival's time, or None — is a
+    plain attribute kept current by :meth:`pop`, so the event loop reads
+    it without a method call (it is consulted several times per event).
+    A list or tuple (or any stream when ``keep_records``) is sorted up
+    front and its size is known.  Any other iterable with
+    ``keep_records=False`` is consumed lazily with a one-request
+    lookahead, so an O(batch)-memory run never materializes the arrival
+    list either (pair with a generator workload); it must already be
+    sorted — out-of-order arrivals raise — and its total is unknown,
+    which is why ``fail_fast`` (whose attainment arithmetic needs the
+    total) rejects lazy streams.  Each :class:`RequestRecord` is built on
+    delivery; with ``keep_records`` it is also kept, in arrival order, in
+    :attr:`records`.
+    """
+
+    __slots__ = ("_iter", "_head", "head_time", "total", "first_request", "records")
+
+    def __init__(self, requests: Iterable[ServingRequest], keep_records: bool):
+        self.total: Optional[int] = None
+        if keep_records or isinstance(requests, (list, tuple)):
+            requests = _ordered_requests(requests)
+            self.total = len(requests)
+        self.records: Optional[List[RequestRecord]] = [] if keep_records else None
+        self._iter = iter(requests)
+        self._head: Optional[ServingRequest] = next(self._iter, None)
+        self.head_time: Optional[float] = None
+        #: The first arrival's payload (None for an empty stream).
+        self.first_request: Optional[InferenceRequest] = None
+        if self._head is not None:
+            self.head_time = self._head.arrival_s
+            self.first_request = self._head.request
+
+    def pop(self) -> RequestRecord:
+        head = self._head
+        self._head = nxt = next(self._iter, None)
+        if nxt is None:
+            self.head_time = None
+        else:
+            self.head_time = when = nxt.arrival_s
+            # Explicit (arrival, id) comparison: the dataclass `<` builds
+            # two tuples per call, and this runs once per request.
+            if when < head.arrival_s or (
+                when == head.arrival_s and nxt.request_id < head.request_id
+            ):
+                raise ValueError(
+                    "a lazily-streamed request iterable must arrive pre-sorted "
+                    f"(saw {when:g}s after {head.arrival_s:g}s); "
+                    "pass a list to let the simulator sort it"
+                )
+        record = RequestRecord(head)
+        if self.records is not None:
+            self.records.append(record)
+        return record
+
+    def tail(self) -> List[RequestRecord]:
+        """Records for the arrivals never delivered (an early exit)."""
+        tail = []
+        if self._head is not None:
+            tail.append(RequestRecord(self._head))
+            tail.extend(RequestRecord(request) for request in self._iter)
+            self._head = self.head_time = None
+        if self.records is not None:
+            self.records.extend(tail)
+        return tail
+
+
+class _QueueDepthStats:
+    """Streaming replacement for the (time, depth) sample list.
+
+    Accumulates exactly the aggregates the report derives from the list —
+    the time-weighted area (for the mean) and the maximum — so a
+    ``keep_records=False`` run reports identical queue statistics while
+    holding O(1) sample state.
+    """
+
+    __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
+
+    def __init__(self) -> None:
+        self.area = 0.0
+        self.max_depth = 0
+        self._last_t: Optional[float] = None
+        self._last_depth = 0
+
+    def add(self, now: float, depth: int) -> None:
+        if self._last_t is not None:
+            self.area += self._last_depth * (now - self._last_t)
+        self._last_t = now
+        self._last_depth = depth
+        if depth > self.max_depth:
+            self.max_depth = depth
 
 
 class FaultGate:
     """Per-device fault state shared between the loop and the scheduler.
 
     One gate is attached per device (``Scheduler.faults`` and
-    ``Device.gate``) for the duration of a fault-aware run.  The
+    ``Device.gate``) for the duration of a resilient run.  The
     scheduler reads ``slow_factor`` (latency multiplier), ``boundary_s``
     (next scheduled fault transition — the coalescing cap) and
     ``deadline_s`` (the shedding threshold), and reports queue drops
-    back through the ``shed``/``drop`` callbacks; the loop flips
-    ``down``/``dirty`` as faults and cancellations happen.
+    back through the ``shed``/``drop`` callbacks; the loop sets ``dirty``
+    when a cancellation leaves a queued record to purge.
     """
 
     __slots__ = (
         "slow_factor",
         "boundary_s",
         "deadline_s",
-        "down",
         "dirty",
-        "removed",
         "shed",
         "drop",
     )
@@ -124,14 +248,9 @@ class FaultGate:
         self.boundary_s: Optional[float] = None
         #: Per-request deadline for load shedding (None = no shedding).
         self.deadline_s: Optional[float] = None
-        #: True while the device is crashed.
-        self.down = False
         #: Set when a waiting record was cancelled elsewhere (hedge win)
         #: and the queue needs a purge scan at the next planning call.
         self.dirty = False
-        #: Queue drops since the last router resync (the loop notifies
-        #: the router so incremental indexes stay coherent).
-        self.removed = 0
         #: Loop callbacks (bound per device): ``shed(record, now)`` for a
         #: deadline-expired queue member, ``drop(record)`` for a
         #: cancelled one.
@@ -139,33 +258,36 @@ class FaultGate:
         self.drop = None
 
 
-class _SoloRouter(Router):
-    """Trivial single-device router backing the serving shape."""
-
-    name = "solo"
-
-    def route(
-        self, record: RequestRecord, devices: Sequence[Device], now: float
-    ) -> int:
-        return 0
-
-
 class _Engine:
-    """One fault-aware run over a routed device list.
+    """One run of the event loop over a device list.
 
-    Both public wrappers build the device list and the source, then
-    drive this class; ``fleet_shape`` only controls trace columns,
-    recorder track names and how the close-out assembles reports — the
-    event loop itself is identical.
+    ``router`` None selects the serving shape (one device, every request
+    to device 0); a router selects the fleet shape.  Construction
+    validates the shared keyword surface and claims the router, so a
+    rejected call never poisons a router that routed nothing.
     """
+
+    __slots__ = (
+        # the run: inputs, clock, counters
+        "source", "devices", "router", "slo", "max_steps", "fail_fast",
+        "total", "queue", "now", "num_events", "missed", "early_exit",
+        "open_requests", "touched", "assignments",
+        # resilience (inert unless a spec is given)
+        "resilient", "retry", "deadline_s", "hedge_after_s", "injector",
+        "report", "arrival_pos", "owner", "hedge_primary", "hedge_attempt",
+        "retry_heap", "retry_seq", "down_since", "_min_retry_delay", "cursors",
+        "_fault_head",
+        # observability and output
+        "rec", "prof_add", "prof_clock", "fleet_metrics", "device_metrics",
+        "streamer", "live", "device_fold",
+    )
 
     def __init__(
         self,
-        source,
+        requests,
         devices: List[Device],
-        router: Router,
+        router: Optional[Router],
         *,
-        fleet_shape: bool,
         faults: Optional[FaultSpec],
         retry: Optional[RetryPolicy],
         deadline_s: Optional[float],
@@ -177,28 +299,65 @@ class _Engine:
         recorder,
         profiler,
     ) -> None:
+        if faults is not None and not isinstance(faults, FaultSpec):
+            raise TypeError(f"faults must be a FaultSpec, got {type(faults).__name__}")
+        if retry is not None and not isinstance(retry, RetryPolicy):
+            raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
+        if deadline_s is not None and deadline_s <= 0:
+            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+        if max_steps is not None and max_steps < 1:
+            raise ValueError("max_steps must be at least 1 when given")
+        if fail_fast and slo is None:
+            raise ValueError("fail_fast needs an SLOSpec to judge misses against")
+        source = _ArrivalSource(requests, keep_records)
+        if source.head_time is None:
+            raise ValueError("cannot simulate an empty request stream")
+        if fail_fast and source.total is None:
+            raise ValueError(
+                "fail_fast needs the total request count; pass a list instead of "
+                "a lazy stream (or keep_records=True to materialize it)"
+            )
         self.source = source
         self.devices = devices
         self.router = router
-        self.fleet_shape = fleet_shape
-        self.retry = retry
-        self.deadline_s = deadline_s
+        fleet = router is not None
+        if fleet:
+            router.used = True
+            router.attach(devices)
         self.slo = slo
         self.max_steps = max_steps
         self.fail_fast = fail_fast
-        self.keep_records = keep_records
-        self.injector = (
-            FaultInjector(faults, len(devices)) if faults is not None else None
-        )
-        self.report = FaultReport(num_devices=len(devices))
+        self.total = source.total
         self.queue = EventQueue()
         self.now = 0.0
         self.num_events = 0
         self.missed = 0
         self.early_exit = False
-        #: Primaries delivered but not yet terminally resolved.
+        #: Requests delivered but not yet terminally resolved.
         self.open_requests = 0
-        self.assignments: List[int] = []
+        #: Devices whose state changed since they last planned; everyone
+        #: plans at t=0.
+        self.touched = set(range(len(devices)))
+        #: Routed device per source arrival, in arrival order (fleet shape).
+        self.assignments: Optional[List[int]] = [] if fleet else None
+        track_work = fleet and router.needs_work_estimates
+        for device in devices:
+            device.track_work = track_work
+            # The serving shape reports the source's records directly.
+            device.keep_records = keep_records and fleet
+            if not keep_records:
+                device.queue_stats = _QueueDepthStats()
+
+        # -- resilience state (inert unless a spec is given) ------------------
+        resilient = faults is not None or retry is not None or deadline_s is not None
+        self.resilient = resilient
+        self.retry = retry
+        self.deadline_s = deadline_s
+        self.hedge_after_s = retry.hedge_after_s if retry is not None else None
+        self.injector = (
+            FaultInjector(faults, len(devices)) if faults is not None else None
+        )
+        self.report = FaultReport(num_devices=len(devices)) if resilient else None
         #: id(record) -> index into ``assignments`` (overwritten before
         #: every read at delivery time, so id reuse cannot corrupt it).
         self.arrival_pos: dict = {}
@@ -211,10 +370,7 @@ class _Engine:
         #: Retry/hedge-timer heap of (time, seq, action, record).
         self.retry_heap: list = []
         self.retry_seq = 0
-        self.touched = set(range(len(devices)))
         self.down_since: List[Optional[float]] = [None] * len(devices)
-        self.track_work = router.needs_work_estimates
-        self.total = source.total
         # Dynamically-scheduled deliveries (flaky retries, crash re-queues)
         # are not in the planning horizon the way source arrivals are, so
         # free-slot coalescing could extend an occupancy past an admission
@@ -238,65 +394,67 @@ class _Engine:
             self._min_retry_delay = (
                 retry.backoff_s * shortest * (1.0 - retry.jitter)
             )
+        self.cursors: list = [None] * len(devices)
+        for index, device in enumerate(devices):
+            gate = None
+            if resilient:
+                gate = FaultGate()
+                gate.deadline_s = deadline_s
+                gate.shed = functools.partial(self._shed, index)
+                gate.drop = functools.partial(self._drop, index)
+                if self.injector is not None:
+                    cursor = self.cursors[index] = self.injector.cursor(index)
+                    if cursor.head_time is not None:
+                        gate.boundary_s = cursor.head_time
+                        self.queue.push(cursor.head_time, FAULT, index)
+            device.gate = gate
+            device.scheduler.faults = gate
         self._fault_head: Optional[float] = None
+        self._refresh_fault_head()
 
-        # -- observability (mirrors the plain loops) --------------------------
+        # -- observability ----------------------------------------------------
+        # A disabled recorder (None or NullRecorder) leaves ``rec`` None, so
+        # every emission site is a single identity check.  The fleet shape
+        # names one track per replica so Perfetto renders one lane each.
         rec = recorder if recorder is not None and recorder.enabled else None
         self.rec = rec
-        self.device_tracks: List[str] = []
         if rec is not None:
-            if fleet_shape:
+            if fleet:
                 router.recorder = rec
             for index, device in enumerate(devices):
-                track = f"device{index}" if fleet_shape else device.scheduler.track
-                self.device_tracks.append(track)
-                device.scheduler.recorder = rec
-                device.scheduler.track = track
+                scheduler = device.scheduler
+                scheduler.recorder = rec
                 memory_model = device.memory
                 if memory_model is not None:
                     memory_model.recorder = rec
-                    if fleet_shape:
+                if fleet:
+                    scheduler.track = f"device{index}"
+                    if memory_model is not None:
                         memory_model.track = f"memory{index}"
+        # The profiler supplies its own clock: the simulation packages never
+        # import one (the no-wall-clock guard tests keep them honest).
         self.prof_add = profiler.add if profiler is not None else None
         self.prof_clock = profiler.clock if profiler is not None else None
 
-        # -- per-device fault gates -------------------------------------------
-        self.gates: List[FaultGate] = []
-        self.cursors = []
-        for index, device in enumerate(devices):
-            gate = FaultGate()
-            gate.deadline_s = deadline_s
-            gate.shed, gate.drop = self._make_callbacks(index)
-            device.gate = gate
-            device.scheduler.faults = gate
-            self.gates.append(gate)
-            cursor = self.injector.cursor(index) if self.injector is not None else None
-            self.cursors.append(cursor)
-            if cursor is not None and cursor.head_time is not None:
-                gate.boundary_s = cursor.head_time
-                self.queue.push(cursor.head_time, FAULT, index)
-            device.track_work = self.track_work
-            if not keep_records:
-                device.keep_records = False
-                from repro.serving.simulator import _QueueDepthStats
-
-                device.queue_stats = _QueueDepthStats()
-        self._refresh_fault_head()
-
-        # -- streaming / metrics (mirrors the plain loops) --------------------
+        # -- streaming / metrics ----------------------------------------------
         self.fleet_metrics: Optional[StreamedMetrics] = None
         self.device_metrics: Optional[List[StreamedMetrics]] = None
         self.streamer: Optional[TraceStreamer] = None
+        #: Delivered-but-unfinished records with their device, tracked only
+        #: when an early exit could leave some behind; metrics-only runs (no
+        #: sink) otherwise skip the reorder buffer and fold each record into
+        #: its device's reservoirs at completion.
         self.live: Optional[dict] = None
         slo_met = 0 if slo is not None else None
         if not keep_records:
             self.device_metrics = [StreamedMetrics(slo_met=slo_met) for _ in devices]
-            if fleet_shape:
-                self.fleet_metrics = StreamedMetrics(slo_met=slo_met)
-            else:
-                self.fleet_metrics = self.device_metrics[0]
+            # The serving shape's one device reservoir is the run's.
+            self.fleet_metrics = (
+                StreamedMetrics(slo_met=slo_met) if fleet else self.device_metrics[0]
+            )
         if trace_sink is not None:
-            if fleet_shape:
+            observers = []
+            if fleet:
                 assignments = self.assignments
 
                 def row_of(record, index):
@@ -305,18 +463,9 @@ class _Engine:
                     return [values[0], cell] + values[1:]
 
                 header = FLEET_TRACE_CSV_FIELDS
-            else:
-
-                def row_of(record, index):
-                    return trace_values(record, slo)
-
-                header = TRACE_CSV_FIELDS
-            observers = []
-            if self.fleet_metrics is not None:
-                if fleet_shape:
+                if self.fleet_metrics is not None:
                     fleet_metrics = self.fleet_metrics
                     device_metrics = self.device_metrics
-                    assignments = self.assignments
 
                     def observe(record, index):
                         sample = metric_sample(record, slo)
@@ -324,13 +473,16 @@ class _Engine:
                         if index < len(assignments):
                             device_metrics[assignments[index]].add_sample(sample)
 
-                else:
+                    observers.append(observe)
+            else:
+
+                def row_of(record, index):
+                    return trace_values(record, slo)
+
+                header = TRACE_CSV_FIELDS
+                if self.fleet_metrics is not None:
                     metrics = self.fleet_metrics
-
-                    def observe(record, index):
-                        metrics.add(record, slo)
-
-                observers.append(observe)
+                    observers.append(lambda record, index: metrics.fold(record, slo))
             self.streamer = TraceStreamer(trace_sink, header, row_of, observers)
         elif self.fleet_metrics is not None and fail_fast:
             self.live = {}
@@ -341,47 +493,48 @@ class _Engine:
         )
 
     # -- gate callbacks -------------------------------------------------------
-    def _make_callbacks(self, index: int):
-        """The shed/drop closures a device's scheduler reports through."""
+    def _forget(self, index: int, record: RequestRecord) -> None:
+        """A record left device ``index`` without completing there."""
         device = self.devices[index]
+        device.outstanding -= 1
+        if device.track_work:
+            device.outstanding_work_s -= device.job_seconds(record)
+        self.owner.pop(id(record), None)
+        if self.router is not None:
+            # Keep incremental router indexes coherent with the drop.
+            self.router.on_completed(index, device)
 
-        def _forget(record: RequestRecord) -> None:
-            device.outstanding -= 1
-            if self.track_work:
-                device.outstanding_work_s -= device.job_seconds(record)
-            self.owner.pop(id(record), None)
-            self.gates[index].removed += 1
+    def _shed(self, index: int, record: RequestRecord, now: float) -> None:
+        """Gate callback: a queued record's deadline expired."""
+        self._forget(index, record)
+        if record.hedge:
+            self._drop_hedge(record)
+            return
+        record.outcome = "shed"
+        self.report.shed += 1
+        if self.rec is not None:
+            self.rec.instant(
+                "faults",
+                "shed",
+                now,
+                {"request_id": record.request_id, "device": index},
+            )
+        self._finish_terminal(record, index)
 
-        def shed(record: RequestRecord, now: float) -> None:
-            _forget(record)
-            if record.hedge:
-                self._drop_hedge(record)
-                return
-            record.outcome = "shed"
-            self.report.shed += 1
-            if self.rec is not None:
-                self.rec.instant(
-                    "faults",
-                    "shed",
-                    now,
-                    {"request_id": record.request_id, "device": index},
-                )
-            self._finish_terminal(record, index)
+    def _drop(self, index: int, record: RequestRecord) -> None:
+        """Gate callback: a cancelled record left the queue — a losing
+        hedge attempt, or a primary already finalized by its hedge."""
+        self._forget(index, record)
+        if record.hedge:
+            self._drop_hedge(record)
 
-        def drop(record: RequestRecord) -> None:
-            # A cancelled record: a losing hedge attempt, or a primary
-            # already finalized by its hedge — nothing left to emit.
-            _forget(record)
-            if record.hedge:
-                self._drop_hedge(record)
-
-        return shed, drop
-
-    def _drop_hedge(self, attempt: RequestRecord) -> None:
-        """Unlink a dead hedge attempt from its pairing maps."""
+    def _drop_hedge(self, attempt: RequestRecord) -> Optional[RequestRecord]:
+        """Unlink a hedge attempt from its pairing maps; returns its
+        primary (None once the pairing is gone)."""
         primary = self.hedge_primary.pop(id(attempt), None)
         if primary is not None and self.hedge_attempt.get(id(primary)) is attempt:
             del self.hedge_attempt[id(primary)]
+        return primary
 
     # -- terminal resolution --------------------------------------------------
     def _finish_terminal(self, record: RequestRecord, index: int) -> None:
@@ -396,6 +549,12 @@ class _Engine:
             if self.live is not None:
                 self.live.pop(id(record), None)
 
+    def _record_phases(self, record: RequestRecord, index: int) -> None:
+        """QUEUE/PREFILL/DECODE spans of a finished request (tagged with
+        the routed device in the fleet shape)."""
+        extra = {"device": index} if self.router is not None else None
+        record_request_phases(self.rec, "requests", record, extra)
+
     def _cancel_sibling_hedge(self, record: RequestRecord) -> None:
         """A primary resolved: cancel its in-flight hedge attempt, if any."""
         sibling = self.hedge_attempt.pop(id(record), None)
@@ -407,37 +566,98 @@ class _Engine:
         if dev is not None:
             # Queued: purged at the device's next planning call.  Active:
             # its occupancy runs to an ignored completion (non-preemptive).
-            self.gates[dev].dirty = True
+            self.devices[dev].gate.dirty = True
             self.touched.add(dev)
 
-    # -- dispatch -------------------------------------------------------------
-    def _dispatch(self, record: RequestRecord, now: float) -> int:
-        """Route ``record`` and enqueue it on the chosen device."""
+    # -- delivery -------------------------------------------------------------
+    def _deliver(self, record: RequestRecord, now: float, arrival: bool = True) -> int:
+        """Route ``record``, enqueue it on the chosen device, return the index.
+
+        A source ``arrival`` opens a request, takes the next trace row (and
+        assignment) and arms its hedge timer.  A re-dispatch (client retry,
+        crash re-queue) moves an open request's assignment to its new
+        device; a hedge attempt has no row of its own.
+        """
         record.attempts += 1
-        if record.attempt_s is None:
-            record.attempt_s = []
-        record.attempt_s.append(now)
         devices = self.devices
-        index = self.router.route(record, devices, now)
-        if not 0 <= index < len(devices):
-            raise ValueError(
-                f"router {self.router.name!r} routed to device {index} "
-                f"of a {len(devices)}-device fleet"
-            )
-        device = devices[index]
-        if device.backend_name is None:
-            device.backend_name = device.cost.profile(
-                record.source.request
-            ).backend_name
-        if self.keep_records and not record.hedge:
-            device.records.append(record)
-        device.outstanding += 1
-        if self.track_work:
-            device.outstanding_work_s += device.job_seconds(record)
-        device.scheduler.enqueue(record, now)
-        self.owner[id(record)] = index
+        router = self.router
+        if router is None:
+            index = 0
+        else:
+            index = router.route(record, devices, now)
+            if not 0 <= index < len(devices):
+                raise ValueError(
+                    f"router {router.name!r} routed to device {index} "
+                    f"of a {len(devices)}-device fleet"
+                )
+        devices[index].enqueue(record, now)
         self.touched.add(index)
+        if self.resilient:
+            if record.attempt_s is None:
+                record.attempt_s = []
+            record.attempt_s.append(now)
+            self.owner[id(record)] = index
+        assignments = self.assignments
+        if arrival:
+            self.open_requests += 1
+            if assignments is not None:
+                if self.resilient:
+                    self.arrival_pos[id(record)] = len(assignments)
+                assignments.append(index)
+            if self.streamer is not None:
+                self.streamer.register(record)
+            elif self.live is not None:
+                self.live[id(record)] = (record, index)
+            if self.hedge_after_s is not None:
+                self._push_retry(record.arrival_s + self.hedge_after_s, _HEDGE, record)
+        elif assignments is not None:
+            pos = self.arrival_pos.get(id(record))
+            if pos is not None:
+                assignments[pos] = index
         return index
+
+    def _push_retry(self, time_s: float, action: int, record: RequestRecord) -> None:
+        self.retry_seq += 1
+        heapq.heappush(self.retry_heap, (time_s, self.retry_seq, action, record))
+
+    def _deliver_retries(self, now: float) -> None:
+        """Client retries and hedge timers due at ``now`` (after every
+        source arrival due at the same instant)."""
+        retry_heap = self.retry_heap
+        rec = self.rec
+        while retry_heap and retry_heap[0][0] <= now:
+            _, _, action, record = heapq.heappop(retry_heap)
+            if (
+                record.outcome is not None
+                or record.finish_s is not None
+                or record.cancelled
+            ):
+                continue  # resolved while the timer was pending
+            if action == _RETRY:
+                record.retries += 1
+                self.report.retries += 1
+                if rec is not None:
+                    rec.instant(
+                        "faults",
+                        "retry",
+                        now,
+                        {
+                            "request_id": record.request_id,
+                            "attempt": record.attempts + 1,
+                        },
+                    )
+                self._deliver(record, now, arrival=False)
+            elif record.first_token_s is None and id(record) not in self.hedge_attempt:
+                # A hedge timer for a primary that has not started yet.
+                attempt = RequestRecord(record.source, hedge=True)
+                self.hedge_primary[id(attempt)] = record
+                self.hedge_attempt[id(record)] = attempt
+                self.report.hedges += 1
+                if rec is not None:
+                    rec.instant(
+                        "faults", "hedge", now, {"request_id": record.request_id}
+                    )
+                self._deliver(attempt, now, arrival=False)
 
     @staticmethod
     def _forget_device_record(device: Device, record: RequestRecord) -> None:
@@ -450,34 +670,13 @@ class _Engine:
                 del records[i]
                 break
 
-    def _push_retry(self, time_s: float, action: int, record: RequestRecord) -> None:
-        self.retry_seq += 1
-        heapq.heappush(self.retry_heap, (time_s, self.retry_seq, action, record))
-
     # -- completion handling --------------------------------------------------
-    def _complete(self, index: int, time_s: float) -> bool:
-        """Handle a COMPLETION event; returns False for stale entries."""
-        device = self.devices[index]
-        occupancy = device._occupancy
-        if occupancy is None or device.busy_until != time_s:
-            # A crash aborted this occupancy after its completion was
-            # scheduled; the entry is stale.
-            return False
-        device.busy_until = None
-        device._occupancy = None
-        for record in occupancy.completed:
-            self._member_done(index, device, record, time_s)
-        self.router.on_completed(index, device)
-        self.touched.add(index)
-        return True
-
     def _member_done(
         self, index: int, device: Device, record: RequestRecord, time_s: float
     ) -> None:
-        """Resolve one batch member of a finished occupancy."""
-        device.outstanding -= 1
-        if self.track_work:
-            device.outstanding_work_s -= device.job_seconds(record)
+        """Resolve one batch member of a finished occupancy (every run
+        completes through here; without a spec only the stamp and the
+        fold remain)."""
         self.owner.pop(id(record), None)
         if record.cancelled:
             return  # resolved elsewhere (hedge), run to an ignored end
@@ -486,7 +685,6 @@ class _Engine:
             return
         if record.finish_s is not None or record.outcome is not None:
             return  # superseded: finalized by a winning hedge
-        record.finish_s = time_s
         rec = self.rec
         injector = self.injector
         if injector is not None and injector.attempt_fails(
@@ -494,7 +692,6 @@ class _Engine:
         ):
             # Flaky failure: the attempt's output is unusable.
             record.first_token_s = None
-            record.finish_s = None
             retry = self.retry
             if retry is not None and record.attempts < retry.max_attempts:
                 record.prefill_start_s = None
@@ -511,34 +708,27 @@ class _Engine:
                     time_s,
                     {"request_id": record.request_id, "attempts": record.attempts},
                 )
-            self._cancel_sibling_hedge(record)
-            self._finish_terminal(record, index)
-            return
-        deadline = self.deadline_s
-        if deadline is not None and time_s - record.arrival_s > deadline:
-            record.outcome = "timed_out"
-            self.report.timed_out += 1
+        else:
+            record.finish_s = time_s
+            deadline = self.deadline_s
+            if deadline is not None and time_s - record.arrival_s > deadline:
+                record.outcome = "timed_out"
+                self.report.timed_out += 1
+                if rec is not None:
+                    rec.instant(
+                        "faults", "timeout", time_s, {"request_id": record.request_id}
+                    )
             if rec is not None:
-                rec.instant(
-                    "faults",
-                    "timeout",
-                    time_s,
-                    {"request_id": record.request_id},
-                )
-        if rec is not None:
-            extra = {"device": index} if self.fleet_shape else None
-            record_request_phases(rec, "requests", record, extra)
+                self._record_phases(record, index)
         self._cancel_sibling_hedge(record)
         self._finish_terminal(record, index)
 
     def _hedge_done(self, index: int, attempt: RequestRecord, time_s: float) -> None:
         """A hedge attempt finished: adopt its stamps if the primary is
         still unresolved (and the attempt itself was not flaky)."""
-        primary = self.hedge_primary.pop(id(attempt), None)
+        primary = self._drop_hedge(attempt)
         if primary is None:
             return
-        if self.hedge_attempt.get(id(primary)) is attempt:
-            del self.hedge_attempt[id(primary)]
         attempt.finish_s = time_s
         if primary.finish_s is not None or primary.outcome is not None:
             return
@@ -557,10 +747,10 @@ class _Engine:
         if prev is not None:
             # The primary's own attempt loses: silently cancel it.
             primary.cancelled = True
-            self.gates[prev].dirty = True
+            self.devices[prev].gate.dirty = True
             self.touched.add(prev)
             self._forget_device_record(self.devices[prev], primary)
-            if self.keep_records:
+            if self.devices[index].keep_records:
                 self.devices[index].records.append(primary)
         deadline = self.deadline_s
         if deadline is not None and time_s - primary.arrival_s > deadline:
@@ -576,36 +766,31 @@ class _Engine:
                 time_s,
                 {"request_id": primary.request_id, "device": index},
             )
-            extra = {"device": index} if self.fleet_shape else None
-            record_request_phases(rec, "requests", primary, extra)
+            self._record_phases(primary, index)
         self._finish_terminal(primary, index)
 
     # -- fault handling -------------------------------------------------------
-    def _fault(self, index: int, time_s: float) -> bool:
-        """Apply the device's next fault transition; True if requests moved."""
+    def _fault(self, index: int, time_s: float) -> None:
+        """Apply the device's next fault transition."""
         cursor = self.cursors[index]
         event = cursor.pop()
-        gate = self.gates[index]
         device = self.devices[index]
+        gate = device.gate
         rec = self.rec
-        progressed = False
         action = event.action
         if action == CRASH:
-            if not gate.down:
-                gate.down = True
+            if device.up:
                 device.up = False
                 self.report.crashes += 1
                 self.down_since[index] = time_s
                 if rec is not None:
                     rec.instant("faults", "crash", time_s, {"device": index})
-                progressed = self._abort_device(index, device, time_s)
+                self._abort_device(index, device, time_s)
         elif action == RECOVER:
-            if gate.down:
-                gate.down = False
+            if not device.up:
                 device.up = True
                 self.report.recoveries += 1
-                since = self.down_since[index]
-                ttr = time_s - since
+                ttr = time_s - self.down_since[index]
                 self.report.downtime_s += ttr
                 self.report.time_to_recover_s = self.report.time_to_recover_s + (ttr,)
                 self.down_since[index] = None
@@ -633,9 +818,8 @@ class _Engine:
         if head is not None:
             self.queue.push(head, FAULT, index)
         self._refresh_fault_head()
-        return progressed
 
-    def _abort_device(self, index: int, device: Device, time_s: float) -> bool:
+    def _abort_device(self, index: int, device: Device, time_s: float) -> None:
         """Crash support: abort the in-flight occupancy, evict and
         re-route everything the device owed work to."""
         lost: List[RequestRecord] = []
@@ -650,10 +834,7 @@ class _Engine:
         requeue: List[RequestRecord] = []
         rec = self.rec
         for record in evicted:
-            device.outstanding -= 1
-            if self.track_work:
-                device.outstanding_work_s -= device.job_seconds(record)
-            self.owner.pop(id(record), None)
+            self._forget(index, record)
             if record.hedge:
                 self._drop_hedge(record)  # the attempt dies with the device
                 continue
@@ -679,92 +860,9 @@ class _Engine:
                     {"request_id": record.request_id, "from": index},
                 )
             requeue.append(record)
-        self.router.on_completed(index, device)
         for record in requeue:
             # Re-route at the crash instant against live health state.
-            new_index = self._dispatch(record, time_s)
-            pos = self.arrival_pos.get(id(record))
-            if pos is not None:
-                self.assignments[pos] = new_index
-        return bool(requeue)
-
-    # -- delivery -------------------------------------------------------------
-    def _deliver(self) -> bool:
-        """Route arrivals and due retries/hedges; True if anything moved."""
-        source = self.source
-        retry_heap = self.retry_heap
-        now = self.now
-        moved = False
-        while True:
-            due = source.head_time
-            if due is not None and due <= now:
-                # Source arrivals first at equal timestamps.
-                record = source.pop()
-                self.open_requests += 1
-                index = self._dispatch(record, now)
-                self.assignments.append(index)
-                self.arrival_pos[id(record)] = len(self.assignments) - 1
-                if self.streamer is not None:
-                    self.streamer.register(record)
-                elif self.live is not None:
-                    self.live[id(record)] = (record, index)
-                retry = self.retry
-                if retry is not None and retry.hedge_after_s is not None:
-                    self._push_retry(
-                        record.arrival_s + retry.hedge_after_s, _HEDGE, record
-                    )
-                moved = True
-                continue
-            if retry_heap and retry_heap[0][0] <= now:
-                _, _, action, record = heapq.heappop(retry_heap)
-                if action == _RETRY:
-                    if (
-                        record.outcome is None
-                        and record.finish_s is None
-                        and not record.cancelled
-                    ):
-                        record.retries += 1
-                        self.report.retries += 1
-                        if self.rec is not None:
-                            self.rec.instant(
-                                "faults",
-                                "retry",
-                                now,
-                                {
-                                    "request_id": record.request_id,
-                                    "attempt": record.attempts + 1,
-                                },
-                            )
-                        index = self._dispatch(record, now)
-                        pos = self.arrival_pos.get(id(record))
-                        if pos is not None:
-                            self.assignments[pos] = index
-                        moved = True
-                else:  # _HEDGE timer
-                    primary = record
-                    if (
-                        primary.outcome is None
-                        and primary.finish_s is None
-                        and not primary.cancelled
-                        and primary.first_token_s is None
-                        and id(primary) not in self.hedge_attempt
-                    ):
-                        attempt = RequestRecord(primary.source, hedge=True)
-                        self.hedge_primary[id(attempt)] = primary
-                        self.hedge_attempt[id(primary)] = attempt
-                        self.report.hedges += 1
-                        if self.rec is not None:
-                            self.rec.instant(
-                                "faults",
-                                "hedge",
-                                now,
-                                {"request_id": primary.request_id},
-                            )
-                        self._dispatch(attempt, now)
-                        moved = True
-                continue
-            break
-        return moved
+            self._deliver(record, time_s, arrival=False)
 
     # -- planning -------------------------------------------------------------
     def _refresh_fault_head(self) -> None:
@@ -778,419 +876,202 @@ class _Engine:
                 head = time_s
         self._fault_head = head
 
-    def _plan(self, horizon: Optional[float]) -> bool:
-        """Plan every touched, idle, up device in index order."""
+    def _horizon(self, now: float) -> Optional[float]:
+        """The next arrival-like instant schedulers must not coalesce past
+        with a free slot: the next source arrival, and on resilient runs
+        the next retry or hedge timer.  Dynamic deliveries the heaps
+        cannot know yet are covered by two caps (see ``__init__``): a
+        crash re-queue lands no sooner than the next fault anywhere, a
+        flaky retry no sooner than the shortest backoff after ``now``."""
+        horizon = self.source.head_time
+        if not self.resilient:
+            return horizon
+        for cap in (
+            self.retry_heap[0][0] if self.retry_heap else None,
+            self._fault_head,
+            now + self._min_retry_delay if self._min_retry_delay is not None else None,
+        ):
+            if cap is not None and (horizon is None or cap < horizon):
+                horizon = cap
+        return horizon
+
+    def _plan(self, now: float, horizon: Optional[float]) -> None:
+        """Plan every touched device in index order; idle, up devices
+        start their next occupancy (see :meth:`Device.maybe_start`)."""
         touched = self.touched
+        if len(touched) == 1:
+            order = (touched.pop(),)
+        else:
+            order = sorted(touched)
+            touched.clear()
         devices = self.devices
-        queue = self.queue
-        now = self.now
-        rec = self.rec
-        planned = False
-        order = touched if len(touched) == 1 else sorted(touched)
         for index in order:
-            device = devices[index]
-            if not device.up or device.busy_until is not None:
-                continue
-            scheduler = device.scheduler
-            if horizon is None and not scheduler.pending:
-                continue
-            occupancy = scheduler.next_occupancy(
-                now, device.cost, horizon=horizon, max_steps=self.max_steps
-            )
-            gate = self.gates[index]
-            if gate.removed:
-                gate.removed = 0
-                self.router.on_completed(index, device)
-            stats = device.queue_stats
-            if stats is not None:
-                stats.add(now, scheduler.waiting)
-            else:
-                device.queue_depth.append((now, scheduler.waiting))
-            if occupancy is None:
-                continue
-            seconds = occupancy.seconds
-            if seconds < 0:
-                raise ValueError("occupancy duration must be non-negative")
-            end = occupancy.end_s
-            if end is None:
-                end = now + seconds
-            device.busy_until = end
-            device.busy_s += seconds
-            device._occupancy = occupancy
-            queue.push(end, COMPLETION, index)
-            planned = True
-            if rec is not None:
-                rec.span(
-                    self.device_tracks[index],
-                    occupancy.kind,
-                    now,
-                    end,
-                    {
-                        "steps": occupancy.steps,
-                        "completed": len(occupancy.completed),
-                    },
-                )
-        touched.clear()
-        return planned
+            end = devices[index].maybe_start(now, horizon, self.max_steps)
+            if end is not None:
+                self.queue.push(end, COMPLETION, index)
+
+    def _decided(self) -> bool:
+        """Whether attainment can no longer reach the SLO threshold even
+        if everything still in flight meets it (the fail-fast verdict)."""
+        missed = self.missed
+        total = self.total
+        return bool(missed) and (total - missed) / total < self.slo.min_attainment
 
     # -- the loop -------------------------------------------------------------
     def run(self) -> None:
         source = self.source
+        devices = self.devices
         queue = self.queue
+        touched = self.touched
         retry_heap = self.retry_heap
+        router = self.router
+        deliver = self._deliver
+        plan = self._plan
+        member_done = self._member_done
+        horizon = self._horizon
         fail_fast = self.fail_fast
-        slo = self.slo
-        total = self.total
         prof_add = self.prof_add
         prof_clock = self.prof_clock
+        now = 0.0
+        num_events = 0
         idle_faults = 0
         try:
             while True:
-                self.num_events += 1
-                now = self.now
-                progressed = False
-                # 1. Completions due now stamp first, then simultaneous
-                # fault transitions apply (the events-contract order;
-                # pop_due yields the batch already sorted).
-                due = queue.pop_due(now)
-                if due:
-                    if prof_add is not None:
-                        t0 = prof_clock()
-                    for time_, kind, index, _ in due:
-                        if kind == COMPLETION:
-                            if self._complete(index, time_):
-                                progressed = True
-                        else:
-                            if self._fault(index, time_):
-                                progressed = True
-                    if prof_add is not None:
-                        prof_add("fold", prof_clock() - t0)
-                    if (
-                        fail_fast
-                        and self.missed
-                        and (total - self.missed) / total < slo.min_attainment
-                    ):
-                        self.early_exit = True
-                        break
-                # 2. Deliver and route arrivals, retries and hedge timers.
+                num_events += 1
+                # 1. Deliver the arrivals due now, then due retries and
+                # hedge timers (source arrivals first at equal times).
                 if prof_add is not None:
                     t0 = prof_clock()
-                if self._deliver():
-                    progressed = True
+                head = source.head_time
+                while head is not None and head <= now:
+                    deliver(source.pop(), now)
+                    head = source.head_time
+                if retry_heap and retry_heap[0][0] <= now:
+                    self._deliver_retries(now)
+                    idle_faults = 0
                 if prof_add is not None:
-                    prof_add("dispatch", prof_clock() - t0)
-                # 3. Touched idle devices plan.  The horizon handed to the
-                # schedulers is the next arrival-like instant — a retry
-                # delivery opens admission exactly like a source arrival.
-                # Dynamic deliveries the heap cannot know yet are covered
-                # by the fault-head and minimum-backoff caps (see
-                # __init__): a crash re-queue lands no sooner than the
-                # next fault anywhere, a flaky retry no sooner than the
-                # shortest backoff after this planning instant.
-                horizon = source.head_time
-                if retry_heap:
-                    rhead = retry_heap[0][0]
-                    if horizon is None or rhead < horizon:
-                        horizon = rhead
-                fault_head = self._fault_head
-                if fault_head is not None and (
-                    horizon is None or fault_head < horizon
-                ):
-                    horizon = fault_head
-                min_delay = self._min_retry_delay
-                if min_delay is not None:
-                    cap = now + min_delay
-                    if horizon is None or cap < horizon:
-                        horizon = cap
-                if self.touched:
+                    t1 = prof_clock()
+                    prof_add("dispatch", t1 - t0)
+                # 2. Touched devices plan.  Untouched ones saw no arrival, no
+                # completion and no fault, so planning could only repeat its
+                # previous answer (skipping it drops only redundant
+                # same-depth queue samples).
+                if touched:
+                    plan(now, horizon(now))
                     if prof_add is not None:
-                        t0 = prof_clock()
-                    if self._plan(horizon):
-                        progressed = True
-                    if prof_add is not None:
-                        prof_add("planning", prof_clock() - t0)
-                if (
-                    fail_fast
-                    and self.missed
-                    and (total - self.missed) / total < slo.min_attainment
-                ):
+                        prof_add("planning", prof_clock() - t1)
+                    if fail_fast and self._decided():
+                        self.early_exit = True
+                        break
+                if head is None and not self.open_requests:
+                    break
+                # 3. Advance to the next completion, fault or retry.  An
+                # arrival before it routes in passing; it becomes the next
+                # event only if its device can act on it (idle and up) —
+                # otherwise nothing changes until that device's own event.
+                if prof_add is not None:
+                    t0 = prof_clock()
+                nxt = queue.head_time
+                if retry_heap and (nxt is None or retry_heap[0][0] < nxt):
+                    nxt = retry_heap[0][0]
+                woken = None
+                while head is not None and (nxt is None or head < nxt):
+                    device = devices[deliver(source.pop(), head)]
+                    if device.busy_until is None and device.up:
+                        woken = head
+                        break
+                    if retry_heap and (nxt is None or retry_heap[0][0] < nxt):
+                        nxt = retry_heap[0][0]  # the hedge timer just armed
+                    head = source.head_time
+                if prof_add is not None:
+                    t1 = prof_clock()
+                    prof_add("dispatch", t1 - t0)
+                if woken is not None:
+                    now = woken
+                    idle_faults = 0
+                    continue
+                if nxt is None:
+                    stuck = sum(device.scheduler.pending for device in devices)
+                    raise RuntimeError(
+                        f"{stuck} pending requests ({self.open_requests} open) "
+                        "but no event is scheduled to make progress"
+                    )
+                now = nxt
+                # 4. Stamp the completions, then apply the fault transitions,
+                # due at the new instant (pop_due yields them in that order).
+                # A crash may have aborted an occupancy after its completion
+                # was scheduled: ``Device.complete`` answers None for that
+                # stale entry.
+                for time_s, kind, index, _ in queue.pop_due(now):
+                    if kind == COMPLETION:
+                        device = devices[index]
+                        completed = device.complete(time_s)
+                        if completed is None:
+                            continue
+                        idle_faults = 0
+                        for record in completed:
+                            member_done(index, device, record, time_s)
+                        if router is not None:
+                            router.on_completed(index, device)
+                        touched.add(index)
+                    else:
+                        self._fault(index, time_s)
+                        idle_faults += 1
+                        if idle_faults > _MAX_IDLE_FAULTS:
+                            raise RuntimeError(
+                                "fault events keep advancing the clock but no "
+                                f"request progressed in {_MAX_IDLE_FAULTS} "
+                                "consecutive events"
+                            )
+                if prof_add is not None:
+                    prof_add("fold", prof_clock() - t1)
+                if fail_fast and self._decided():
                     self.early_exit = True
                     break
-                # 4. Advance to the next event, or stop.  Fault schedules
-                # can be infinite, so the loop ends when every delivered
-                # request resolved and the stream is dry — not when the
-                # event heap does.
-                if self.open_requests == 0 and source.head_time is None:
+                # The instant that resolves the last request ends the run;
+                # it is not an event of its own.
+                if source.head_time is None and not self.open_requests:
                     break
-                next_time = queue.peek_time()
-                head = source.head_time
-                if head is not None and (next_time is None or head < next_time):
-                    next_time = head
-                if retry_heap:
-                    rhead = retry_heap[0][0]
-                    if next_time is None or rhead < next_time:
-                        next_time = rhead
-                if next_time is None:
-                    stuck = sum(
-                        device.scheduler.pending for device in self.devices
-                    )
-                    raise RuntimeError(
-                        f"fault engine: {stuck} pending requests "
-                        f"({self.open_requests} open) but no event is "
-                        "scheduled to make progress"
-                    )
-                if progressed:
-                    idle_faults = 0
-                else:
-                    idle_faults += 1
-                    if idle_faults > _MAX_IDLE_FAULTS:
-                        raise RuntimeError(
-                            "fault engine: fault events keep advancing the "
-                            f"clock but no request progressed in "
-                            f"{_MAX_IDLE_FAULTS} consecutive events"
-                        )
-                self.now = next_time
-
-            self._close()
+            self.num_events = num_events
+            self._close(now)
         finally:
             if self.streamer is not None:
                 self.streamer.release()
 
     # -- close-out ------------------------------------------------------------
-    def _close(self) -> None:
-        now = self.now
-        source = self.source
-        first_payload = source.first_request
+    def _close(self, now: float) -> None:
+        self.now = now
         for device in self.devices:
             device.finalize(now)
             if device.backend_name is None:
-                device.backend_name = device.cost.profile(first_payload).backend_name
-        # A crash still open at the end of the run contributes downtime
-        # truncated at the makespan, but no recovery sample.
-        for since in self.down_since:
-            if since is not None:
-                self.report.downtime_s += now - since
-        report = self.report
-        report.makespan_s = now
+                # A replica that received no traffic still resolves its
+                # display name (and the OOM check) against the first payload.
+                first = self.source.first_request
+                device.backend_name = device.cost.profile(first).backend_name
+        if self.report is not None:
+            # A crash still open at the end of the run contributes downtime
+            # truncated at the makespan, but no recovery sample.
+            for since in self.down_since:
+                if since is not None:
+                    self.report.downtime_s += now - since
+            self.report.makespan_s = now
+        tail = self.source.tail()
         if self.streamer is not None:
-            self.streamer.close(tail=source.tail())
+            self.streamer.close(tail=tail)
         elif self.fleet_metrics is not None:
+            # No sink, so no reorder buffer ran: count whatever an early
+            # exit left unfinished (attributed to its routed device), then
+            # build the fleet-wide view by merging the per-device
+            # reservoirs, plus the undelivered tail, which has no device.
             if self.live:
                 for record, index in self.live.values():
                     self.device_fold[index](record, self.slo)
-            if self.fleet_shape:
+            if self.router is not None:
                 for part in self.device_metrics:
                     self.fleet_metrics.merge_from(part)
-            for record in source.tail():
+            for record in tail:
                 self.fleet_metrics.fold(record, self.slo)
-
-
-def _engine_kwargs(
-    faults, retry, deadline_s, slo, max_steps, fail_fast
-) -> None:
-    """Shared validation of the fault-aware keyword surface."""
-    if faults is not None and not isinstance(faults, FaultSpec):
-        raise TypeError(f"faults must be a FaultSpec, got {type(faults).__name__}")
-    if retry is not None and not isinstance(retry, RetryPolicy):
-        raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be at least 1 when given")
-    if fail_fast and slo is None:
-        raise ValueError("fail_fast needs an SLOSpec to judge misses against")
-
-
-def simulate_with_faults(
-    requests: Iterable[ServingRequest],
-    backend,
-    scheduler=None,
-    *,
-    faults: Optional[FaultSpec] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_s: Optional[float] = None,
-    slo: Optional[SLOSpec] = None,
-    runner=None,
-    max_steps: Optional[int] = None,
-    fail_fast: bool = False,
-    trace_sink: Optional[TraceSink] = None,
-    keep_records: bool = True,
-    recorder=None,
-    profiler=None,
-) -> ServingReport:
-    """:func:`repro.serving.simulator.simulate` under fault injection.
-
-    Accepts the plain loop's full surface plus the resilience knobs; the
-    plain loop delegates here whenever any of ``faults``/``retry``/
-    ``deadline_s`` is given.  Single-device crash semantics are the
-    fleet's with nowhere to fail over to: evicted requests re-queue on
-    the same device and wait out the recovery.
-    """
-    from repro.serving.scheduler import FCFSScheduler
-    from repro.serving.simulator import BackendCostModel, _arrival_source
-
-    _engine_kwargs(faults, retry, deadline_s, slo, max_steps, fail_fast)
-    scheduler = scheduler if scheduler is not None else FCFSScheduler()
-    if scheduler.pending:
-        raise ValueError(
-            "scheduler already has pending requests; use a fresh one per run"
-        )
-    cost = (
-        backend
-        if isinstance(backend, BackendCostModel)
-        else BackendCostModel(backend, runner=runner)
-    )
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    if fail_fast and source.total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
-    backend_name = cost.profile(source.first_request).backend_name
-    device = Device(backend, scheduler, cost=cost)
-    device.backend_name = backend_name
-    engine = _Engine(
-        source,
-        [device],
-        _SoloRouter(),
-        fleet_shape=False,
-        faults=faults,
-        retry=retry,
-        deadline_s=deadline_s,
-        slo=slo,
-        max_steps=max_steps,
-        fail_fast=fail_fast,
-        trace_sink=trace_sink,
-        keep_records=keep_records,
-        recorder=recorder,
-        profiler=profiler,
-    )
-    engine.run()
-    alerts = engine.rec.finalize_run(engine.now) if engine.rec is not None else None
-    metrics = engine.fleet_metrics
-    if metrics is not None:
-        metrics.queue_depth_area = device.queue_stats.area
-        metrics.max_queue_depth = device.queue_stats.max_depth
-    memory = device.memory
-    return ServingReport(
-        backend_name=backend_name,
-        scheduler_name=scheduler.name,
-        records=source.records if keep_records else [],
-        makespan_s=engine.now,
-        busy_s=device.busy_s,
-        queue_depth=device.queue_depth,
-        slo=slo,
-        num_events=engine.num_events,
-        early_exit=engine.early_exit,
-        streamed=metrics,
-        memory=memory.report() if memory is not None else None,
-        event_queue=engine.queue.stats(),
-        alerts=alerts,
-        faults=engine.report,
-    )
-
-
-def simulate_fleet_with_faults(
-    requests: Iterable[ServingRequest],
-    devices: Sequence[Device],
-    router: Optional[Router] = None,
-    *,
-    faults: Optional[FaultSpec] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_s: Optional[float] = None,
-    slo: Optional[SLOSpec] = None,
-    max_steps: Optional[int] = None,
-    fail_fast: bool = False,
-    trace_sink: Optional[TraceSink] = None,
-    keep_records: bool = True,
-    recorder=None,
-    profiler=None,
-) -> FleetReport:
-    """:func:`repro.fleet.simulator.simulate_fleet` under fault injection.
-
-    The fleet loop delegates here whenever any of ``faults``/``retry``/
-    ``deadline_s`` is given.  Crashed replicas abort and re-route their
-    work at the crash instant; pair with ``get_router("failover")`` (or
-    any router built with ``exclude_unhealthy=True``) to steer new
-    arrivals around them until recovery.
-    """
-    from repro.serving.simulator import _arrival_source
-
-    _engine_kwargs(faults, retry, deadline_s, slo, max_steps, fail_fast)
-    router = router if router is not None else JoinShortestQueueRouter()
-    if getattr(router, "used", False):
-        raise ValueError(
-            "router already drove a simulation; use a fresh one "
-            "(routers may carry state across route() calls)"
-        )
-    devices = list(devices)
-    if not devices:
-        raise ValueError("cannot simulate an empty fleet")
-    for device in devices:
-        if device.records or not device.idle:
-            raise ValueError("devices already carry state; build a fresh fleet")
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    if fail_fast and source.total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
-    router.used = True
-    router.attach(devices)
-    engine = _Engine(
-        source,
-        devices,
-        router,
-        fleet_shape=True,
-        faults=faults,
-        retry=retry,
-        deadline_s=deadline_s,
-        slo=slo,
-        max_steps=max_steps,
-        fail_fast=fail_fast,
-        trace_sink=trace_sink,
-        keep_records=keep_records,
-        recorder=recorder,
-        profiler=profiler,
-    )
-    engine.run()
-    alerts = engine.rec.finalize_run(engine.now) if engine.rec is not None else None
-    device_reports = []
-    for index, device in enumerate(devices):
-        streamed = None
-        if engine.device_metrics is not None:
-            streamed = engine.device_metrics[index]
-            streamed.queue_depth_area = device.queue_stats.area
-            streamed.max_queue_depth = device.queue_stats.max_depth
-        memory = device.memory
-        device_reports.append(
-            ServingReport(
-                backend_name=device.backend_name,
-                scheduler_name=device.scheduler.name,
-                records=device.records,
-                makespan_s=engine.now,
-                busy_s=device.busy_s,
-                queue_depth=device.queue_depth,
-                slo=slo,
-                streamed=streamed,
-                memory=memory.report() if memory is not None else None,
-            )
-        )
-    return FleetReport(
-        router_name=router.name,
-        device_reports=device_reports,
-        records=source.records if keep_records else [],
-        assignments=engine.assignments,
-        makespan_s=engine.now,
-        slo=slo,
-        num_events=engine.num_events,
-        early_exit=engine.early_exit,
-        streamed=engine.fleet_metrics if engine.fleet_metrics is not None else None,
-        event_queue=engine.queue.stats(),
-        alerts=alerts,
-        faults=engine.report,
-    )
+        if self.device_metrics is not None:
+            for device, metrics in zip(self.devices, self.device_metrics):
+                metrics.queue_depth_area = device.queue_stats.area
+                metrics.max_queue_depth = device.queue_stats.max_depth

@@ -1,13 +1,12 @@
 """One fleet replica: a backend-priced device with its own scheduler.
 
-A :class:`Device` bundles what :func:`repro.serving.simulator.simulate`
-keeps in local variables — a scheduler, a
+A :class:`Device` bundles a scheduler, a
 :class:`repro.serving.simulator.BackendCostModel`, the busy/idle state and
-the per-device timeline (busy seconds, queue-depth samples) — so the fleet
-event loop can interleave many of them on one clock.  Its planning and
-sampling semantics mirror the single-device loop exactly, which is what
-makes a 1-replica, unsharded fleet reproduce ``simulate()`` record for
-record.
+the per-device timeline (busy seconds, queue-depth samples), so the one
+event loop (:mod:`repro.faults.engine`) can interleave many of them on one
+clock.  ``simulate()`` runs that loop over a single device and
+``simulate_fleet()`` over N, which is why a 1-replica, unsharded fleet
+reproduces ``simulate()`` record for record.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import List, Optional, Tuple, Union
 from repro.api.backend import Backend
 from repro.api.runner import ExperimentRunner
 from repro.fleet.sharding import ShardedBackend, ShardingSpec
-from repro.obs.recorder import record_request_phases
 from repro.serving.request import RequestRecord
 from repro.serving.scheduler import FCFSScheduler, Occupancy, Scheduler
 from repro.serving.simulator import BackendCostModel
@@ -76,7 +74,7 @@ class Device:
             self.cost = BackendCostModel(backend, runner=runner)
             self.cost._fleet_sharding = spec
         #: Display name of the backend, resolved on the first profile (the
-        #: fleet loop resolves idle devices against the stream's first
+        #: event loop resolves idle devices against the stream's first
         #: payload before reporting).
         self.backend_name: Optional[str] = None
 
@@ -90,16 +88,17 @@ class Device:
         self.outstanding = 0
         #: Estimated seconds of solo work assigned but not finished.
         self.outstanding_work_s = 0.0
-        #: When False (a ``keep_records=False`` fleet run) arrivals are not
-        #: retained in :attr:`records` — the fleet loop streams them out.
+        #: When False (a ``keep_records=False`` run, or any single-device
+        #: run, whose report lists the source records) arrivals are not
+        #: retained in :attr:`records`.
         self.keep_records = True
         #: When False the loop's router never reads
         #: :attr:`outstanding_work_s`, so enqueue/complete skip the
         #: per-record cost lookups that feed it (set per run by
-        #: ``simulate_fleet`` from ``Router.needs_work_estimates``).
+        #: the event loop from ``Router.needs_work_estimates``).
         self.track_work = True
         #: Streaming replacement for :attr:`queue_depth` (set by
-        #: ``keep_records=False`` fleet runs).
+        #: ``keep_records=False`` runs).
         self.queue_stats = None
 
         # -- health state (fault-injected runs only) --------------------------
@@ -107,7 +106,7 @@ class Device:
         #: so health-aware routing guards are no-ops without faults.
         self.up = True
         #: The per-device :class:`repro.faults.engine.FaultGate` attached
-        #: by the fault-aware event loop (None on plain runs); routers read
+        #: by the event loop on resilient runs (None otherwise); routers read
         #: it for the "slowed" health signal.
         self.gate = None
 
@@ -125,7 +124,7 @@ class Device:
         """This replica's KV memory model (None without one).
 
         The scheduler owns the model; the device only surfaces it so
-        routers can steer by free DRAM and the fleet loop can snapshot
+        routers can steer by free DRAM and the event loop can snapshot
         per-device :class:`repro.memory.MemoryReport` counters.
         """
         return getattr(self.scheduler, "memory", None)
@@ -137,13 +136,15 @@ class Device:
         return 0 if memory is None else memory.pool.free_bytes
 
     # -- event-loop interface ------------------------------------------------
+    # The one event loop (:mod:`repro.faults.engine`) drives every device
+    # through these three methods, single-device runs included.
     def enqueue(self, record: RequestRecord, now: float) -> None:
-        """An arrival routed here joins this device's waiting queue."""
+        """A request routed here joins this device's waiting queue."""
         if self.backend_name is None:
             # Resolve the display name (and fail fast on an OOM payload) on
-            # the first request, exactly like the single-device loop.
+            # the first request this device receives.
             self.backend_name = self.cost.profile(record.request).backend_name
-        if self.keep_records:
+        if self.keep_records and not record.hedge:
             self.records.append(record)
         self.outstanding += 1
         if self.track_work:
@@ -155,62 +156,65 @@ class Device:
         now: float,
         horizon: Optional[float] = None,
         max_steps: Optional[int] = None,
-    ) -> None:
-        """Plan the next occupancy if idle; sample the queue after planning.
+    ) -> Optional[float]:
+        """Plan the next occupancy if idle and up; returns its end time.
 
-        ``horizon``/``max_steps`` pass straight to the scheduler so a
-        replica fast-forwards exactly like the single-device loop.
+        The queue depth is sampled after every planning attempt, so a
+        request just placed on the device no longer counts as waiting.
+        A device with nothing pending and no arrival still to come skips
+        the attempt (and the sample).  ``horizon``/``max_steps`` pass
+        straight to the scheduler's fast-forward coalescing.
         """
-        if not self.idle:
-            return
+        if self.busy_until is not None or not self.up:
+            return None
         scheduler = self.scheduler
-        occupancy = scheduler.next_occupancy(
-            now, self.cost, horizon=horizon, max_steps=max_steps
-        )
+        if horizon is None and not scheduler.pending:
+            return None
+        occupancy = scheduler.next_occupancy(now, self.cost, horizon, max_steps)
         if self.queue_stats is not None:
             self.queue_stats.add(now, scheduler.waiting)
         else:
             self.queue_depth.append((now, scheduler.waiting))
         if occupancy is None:
-            return
-        if occupancy.seconds < 0:
+            return None
+        seconds = occupancy.seconds
+        if seconds < 0:
             raise ValueError("occupancy duration must be non-negative")
-        self.busy_until = occupancy.end_time(now)
-        self.busy_s += occupancy.seconds
+        end = occupancy.end_time(now)
+        self.busy_until = end
+        self.busy_s += seconds
         self._occupancy = occupancy
-        # Mirror the fleet loop's inlined recording, so a directly-driven
-        # device (tests, notebooks) traces identically to a fleet run.
         recorder = scheduler.recorder
         if recorder is not None:
             recorder.span(
                 scheduler.track,
                 occupancy.kind,
                 now,
-                self.busy_until,
-                {
-                    "steps": occupancy.steps,
-                    "completed": len(occupancy.completed),
-                },
+                end,
+                {"steps": occupancy.steps, "completed": len(occupancy.completed)},
             )
+        return end
 
-    def complete(self, now: float) -> List[RequestRecord]:
-        """Finish the in-flight occupancy: stamp and release its records."""
-        completed = self._occupancy.completed
-        recorder = self.scheduler.recorder
-        for record in completed:
-            record.finish_s = now
-            if recorder is not None:
-                record_request_phases(recorder, "requests", record)
-            self.outstanding -= 1
-            if self.track_work:
-                self.outstanding_work_s -= self.job_seconds(record)
+    def complete(self, now: float) -> Optional[List[RequestRecord]]:
+        """Release the occupancy ending at ``now``; returns the records it
+        completed (the loop stamps them), or None when a crash already
+        aborted that occupancy and the completion is stale."""
+        occupancy = self._occupancy
+        if occupancy is None or self.busy_until != now:
+            return None
         self.busy_until = None
         self._occupancy = None
+        completed = occupancy.completed
+        if completed:
+            self.outstanding -= len(completed)
+            if self.track_work:
+                for record in completed:
+                    self.outstanding_work_s -= self.job_seconds(record)
         return completed
 
     def finalize(self, makespan_s: float) -> None:
-        """Append the closing queue-depth sample (mirrors the single loop,
-        including its skip of a sample the last event already stamped)."""
+        """Append the closing queue-depth sample, skipping a sample the
+        last planning attempt already stamped."""
         sample = (makespan_s, self.scheduler.waiting)
         if self.queue_stats is not None:
             # Duplicate or zero-width samples leave the streamed area/max

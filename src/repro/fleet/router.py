@@ -339,7 +339,7 @@ class FailoverRouter(Router):
     breaking ties inside a rank.  Ejection and re-admission are
     immediate and free: health is read straight off ``Device.up`` and
     the device's attached fault gate at every decision, and the
-    fault-aware event loop applies crash/recover transitions *before*
+    event loop applies crash/recover transitions *before*
     same-instant arrivals route (the :mod:`repro.serving.events`
     contract), so an arrival at the crash instant already steers around
     the dead replica.  With every replica down the policy degrades to

@@ -1,18 +1,19 @@
-"""The fleet event loop: many devices, one deterministic clock.
+"""Fleets: many devices, one deterministic clock.
 
-:func:`simulate_fleet` generalizes :func:`repro.serving.simulator.simulate`
-from one device to N.  The global clock advances over three kinds of
-events — request arrivals (routed to a device the moment they happen),
-per-device occupancy completions, and the planning opportunities both
-create — and every device replays exactly the semantics of the
-single-device loop on its own slice of the timeline:
+:func:`simulate_fleet` runs the package's one event loop
+(:mod:`repro.faults.engine`) over N devices behind a router;
+:func:`repro.serving.simulator.simulate` runs the same loop over one.
+The clock advances over request arrivals (routed to a device the moment
+they happen), per-device occupancy completions and the planning
+opportunities both create, and every device replays exactly the
+semantics of the single-device run on its own slice of the timeline:
 
 * completions due at the current time are stamped *before* new arrivals
-  are delivered, and arrivals are delivered *before* idle devices plan,
-  mirroring the single-device iteration order;
+  are delivered, and arrivals are delivered *before* idle devices plan
+  (the total order of :mod:`repro.serving.events`);
 * a device samples its queue depth at every planning attempt (and once at
   the end), so a 1-replica fleet reproduces ``simulate()``'s report —
-  records, busy seconds and queue-depth samples — exactly;
+  records, busy seconds, queue-depth samples and event count — exactly;
 * routing happens at arrival time against the live device states, and
   every policy is deterministic, so a fixed workload seed fixes the device
   assignment (and the trace CSV) byte for byte.
@@ -20,41 +21,26 @@ single-device loop on its own slice of the timeline:
 All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
 evaluations because every replica of the same backend hits the same
-memoized profiles.
-
-Scale: the loop pops completions from the shared heap event core
-(:mod:`repro.serving.events`, which documents the total event order the
-determinism rests on), re-plans only the devices an event actually
-touched, and — with ``trace_sink``/``keep_records=False`` — streams each
-request's trace row out the moment it is stamped while folding exact
-metric reservoirs per device, so a million-request, hundred-device day
-runs in seconds holding O(in-flight) record state.
+memoized profiles.  With ``trace_sink``/``keep_records=False`` each
+request's trace row streams out the moment it is stamped while exact
+metric reservoirs fold per device, so a million-request, hundred-device
+day runs in seconds holding O(in-flight) record state.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.api.backend import Backend
 from repro.api.runner import ExperimentRunner
 from repro.fleet.device import Device
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport
+from repro.fleet.report import FleetReport
 from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
-from repro.obs.recorder import record_request_phases
-from repro.serving.events import COMPLETION, EventQueue
-from repro.serving.metrics import (
-    ServingReport,
-    SLOSpec,
-    StreamedMetrics,
-    metric_sample,
-    trace_values,
-)
+from repro.serving.metrics import ServingReport, SLOSpec
 from repro.serving.request import ServingRequest
-from repro.serving.scheduler import FCFSScheduler, Scheduler
-from repro.serving.simulator import _arrival_source, _QueueDepthStats
-from repro.serving.stream import TraceSink, TraceStreamer
+from repro.serving.scheduler import FCFSScheduler
+from repro.serving.stream import TraceSink
 
 BackendLike = Union[str, Backend]
 
@@ -144,37 +130,19 @@ def simulate_fleet(
     ``memory0..N``); ``profiler`` times the loop's dispatch/planning/fold
     phases on the wall clock.  Neither changes a single simulated float.
 
-    Resilience: any of ``faults`` (a :class:`repro.faults.FaultSpec`),
-    ``retry`` (a :class:`repro.faults.RetryPolicy`) or ``deadline_s``
-    (per-request deadline, seconds) hands the run to the fault-aware
-    event loop (:func:`repro.faults.engine.simulate_fleet_with_faults`),
-    which accepts this function's full surface.  With all three at their
-    None defaults this loop runs untouched — fault-free traces stay
-    byte-identical to earlier versions by construction.
+    Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
+    (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request
+    deadline, seconds) switch on the loop's fault handlers, and the
+    report gains a :class:`repro.faults.FaultReport`.  Crashed replicas
+    abort and re-route their work at the crash instant; pair with
+    ``get_router("failover")`` (or any router built with
+    ``exclude_unhealthy=True``) to steer new arrivals around them until
+    recovery.  With all three at their None defaults the handlers are
+    inert and traces stay byte-identical to earlier versions.
     """
-    if faults is not None or retry is not None or deadline_s is not None:
-        from repro.faults.engine import simulate_fleet_with_faults
+    from repro.faults.engine import _Engine
 
-        return simulate_fleet_with_faults(
-            requests,
-            devices,
-            router,
-            faults=faults,
-            retry=retry,
-            deadline_s=deadline_s,
-            slo=slo,
-            max_steps=max_steps,
-            fail_fast=fail_fast,
-            trace_sink=trace_sink,
-            keep_records=keep_records,
-            recorder=recorder,
-            profiler=profiler,
-        )
     router = router if router is not None else JoinShortestQueueRouter()
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be at least 1 when given")
-    if fail_fast and slo is None:
-        raise ValueError("fail_fast needs an SLOSpec to judge misses against")
     if getattr(router, "used", False):
         raise ValueError(
             "router already drove a simulation; use a fresh one "
@@ -186,353 +154,34 @@ def simulate_fleet(
     for device in devices:
         if device.records or not device.idle:
             raise ValueError("devices already carry state; build a fresh fleet")
-
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    total = source.total
-    if fail_fast and total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
-    first_payload = source.first_request
-
-    # Every input validated: only now does the router get claimed, so a
-    # rejected call never poisons a router that routed nothing.
-    router.used = True
-    router.attach(devices)
-    # Normalize the observability hooks once (see ``simulate``): with a
-    # disabled recorder ``rec`` stays None and the hot loop pays only
-    # identity checks.  Attached recorders get per-replica track names so
-    # the Perfetto export renders one lane per device/memory model.
-    rec = recorder if recorder is not None and recorder.enabled else None
-    device_tracks: List[str] = []
-    if rec is not None:
-        router.recorder = rec
-        for index, device in enumerate(devices):
-            track = f"device{index}"
-            device_tracks.append(track)
-            device.scheduler.recorder = rec
-            device.scheduler.track = track
-            memory_model = device.memory
-            if memory_model is not None:
-                memory_model.recorder = rec
-                memory_model.track = f"memory{index}"
-    # The profiler supplies its own clock — this module imports no time
-    # source, matching the serving package's no-wall-clock rule.
-    prof_add = profiler.add if profiler is not None else None
-    prof_clock = profiler.clock if profiler is not None else None
-    for device in devices:
-        device.track_work = router.needs_work_estimates
-        if not keep_records:
-            device.keep_records = False
-            device.queue_stats = _QueueDepthStats()
-
-    # Arrivals are delivered in stream order, so appending each routed
-    # index builds a list parallel to the trace rows.
-    assignments: List[int] = []
-    fleet_metrics: Optional[StreamedMetrics] = None
-    device_metrics: Optional[List[StreamedMetrics]] = None
-    streamer: Optional[TraceStreamer] = None
-    # Routed-but-unfinished records (with their device index), tracked
-    # only when an early exit could leave some behind; metrics-only runs
-    # (no sink) skip the reorder buffer and feed the reservoirs directly
-    # at completion time, attributing each sample by the completing
-    # device's index.
-    live: Optional[dict] = None
-    if not keep_records:
-        fleet_metrics = StreamedMetrics(slo_met=0 if slo is not None else None)
-        device_metrics = [
-            StreamedMetrics(slo_met=0 if slo is not None else None) for _ in devices
-        ]
-    if trace_sink is not None:
-
-        def row_of(record, index):
-            values = trace_values(record, slo)
-            device_cell = assignments[index] if index < len(assignments) else ""
-            return [values[0], device_cell] + values[1:]
-
-        observers = []
-        if fleet_metrics is not None:
-
-            def observe(record, index):
-                sample = metric_sample(record, slo)
-                fleet_metrics.add_sample(sample)
-                if index < len(assignments):
-                    device_metrics[assignments[index]].add_sample(sample)
-
-            observers.append(observe)
-        streamer = TraceStreamer(
-            trace_sink, FLEET_TRACE_CSV_FIELDS, row_of, observers
-        )
-    elif fleet_metrics is not None and fail_fast:
-        live = {}
-    #: Bound per-device fold methods for the metrics-only fast path (no
-    #: sink, no reorder buffer): one fold per record, merged at close.
-    device_fold = (
-        [metrics.fold for metrics in device_metrics]
-        if streamer is None and device_metrics is not None
-        else None
+    engine = _Engine(
+        requests,
+        devices,
+        router,
+        faults=faults,
+        retry=retry,
+        deadline_s=deadline_s,
+        slo=slo,
+        max_steps=max_steps,
+        fail_fast=fail_fast,
+        trace_sink=trace_sink,
+        keep_records=keep_records,
+        recorder=recorder,
+        profiler=profiler,
     )
-
-    queue = EventQueue()
-    now = 0.0
-    num_events = 0
-    missed = 0
-    early_exit = False
-    num_devices = len(devices)
-    # Hot-loop locals: the body below runs a couple of million times on a
-    # 1M-request day, so every repeated attribute lookup is hoisted once.
-    # The heap and its push counter are owned by this loop directly (the
-    # counter is written back to the queue below), and the source's next
-    # arrival time is read straight off its ``head_time`` attribute —
-    # both shave a method call from paths taken once or more per event.
-    source_pop = source.pop
-    route = router.route
-    on_completed = router.on_completed
-    heap = queue._heap
-    heap_push = heapq.heappush
-    heap_pop = heapq.heappop
-    seq = queue._seq
-    # Heap debug counters, maintained as locals exactly like ``seq`` (the
-    # loop drives the heap directly) and written back with it below.
-    pops = queue._pops
-    heap_max_depth = queue._max_depth
-    #: Whether the router reads per-device work estimates (mirrors the
-    #: ``device.track_work`` flags set above) and the per-device scheduler
-    #: enqueue hooks, hoisted for the arrival path.
-    track_work = router.needs_work_estimates
-    enqueues = [device.scheduler.enqueue for device in devices]
-    # Devices whose state changed this event and therefore need a planning
-    # attempt; everyone plans at t=0 (the linear loop's first iteration).
-    touched = set(range(num_devices))
-    try:
-        while True:
-            num_events += 1
-            # 1. Stamp completions due now.  The heap yields simultaneous
-            # completions in device-index order — the linear scan's
-            # tie-break (see repro.serving.events).
-            if heap and heap[0][0] <= now:
-                if prof_add is not None:
-                    t0 = prof_clock()
-                while heap and heap[0][0] <= now:
-                    index = heap_pop(heap)[2]
-                    pops += 1
-                    device = devices[index]
-                    # ``Device.complete`` inlined (same statements, same
-                    # order): most completions are prefills with nothing
-                    # to stamp, so the empty-list guard skips the loop.
-                    completed = device._occupancy.completed
-                    device.busy_until = None
-                    device._occupancy = None
-                    if completed:
-                        device.outstanding -= len(completed)
-                        for record in completed:
-                            record.finish_s = now
-                            if rec is not None:
-                                record_request_phases(
-                                    rec, "requests", record, {"device": index}
-                                )
-                            if track_work:
-                                device.outstanding_work_s -= device.job_seconds(
-                                    record
-                                )
-                            if fail_fast and not slo.met_by(record):
-                                missed += 1
-                            if streamer is not None:
-                                streamer.finish(record)
-                            elif device_fold is not None:
-                                # Fold once, into the completing device's
-                                # reservoirs; the fleet-wide view is merged
-                                # from these at close time.
-                                device_fold[index](record, slo)
-                                if live is not None:
-                                    del live[id(record)]
-                    on_completed(index, device)
-                    touched.add(index)
-                if prof_add is not None:
-                    prof_add("fold", prof_clock() - t0)
-                # Attainment can no longer reach the threshold even if
-                # everything still in flight meets the SLO: the probe is
-                # decided, stop here.
-                if (
-                    fail_fast
-                    and missed
-                    and (total - missed) / total < slo.min_attainment
-                ):
-                    early_exit = True
-                    break
-            # 2. Deliver and route arrivals due now.
-            if prof_add is not None:
-                t0 = prof_clock()
-            while True:
-                due = source.head_time
-                if due is None or due > now:
-                    break
-                record = source_pop()
-                index = route(record, devices, now)
-                if not 0 <= index < num_devices:
-                    raise ValueError(
-                        f"router {router.name!r} routed to device {index} "
-                        f"of a {num_devices}-device fleet"
-                    )
-                assignments.append(index)
-                # ``Device.enqueue`` inlined (same statements, same order);
-                # the keep_records/track_work flags are run-wide, so the
-                # loop tests the hoisted locals instead of device attrs.
-                device = devices[index]
-                if device.backend_name is None:
-                    device.backend_name = device.cost.profile(
-                        record.source.request
-                    ).backend_name
-                if keep_records:
-                    device.records.append(record)
-                device.outstanding += 1
-                if track_work:
-                    device.outstanding_work_s += device.job_seconds(record)
-                enqueues[index](record, now)
-                if streamer is not None:
-                    streamer.register(record)
-                elif live is not None:
-                    live[id(record)] = (record, index)
-                touched.add(index)
-            if prof_add is not None:
-                prof_add("dispatch", prof_clock() - t0)
-            # 3. Touched idle devices plan (sampling their queue depth as
-            # they do), in device-index order.  Untouched devices need no
-            # attempt: their schedulers saw no arrival and no completion,
-            # so planning could only repeat the previous answer — skipping
-            # it drops only redundant same-depth queue samples, which
-            # leaves every derived queue statistic unchanged.  The horizon
-            # handed to each scheduler is the next undelivered arrival,
-            # exactly as in the single-device loop; a device with nothing
-            # pending and no arrivals left skips the attempt (the
-            # single-device loop's exit condition, which keeps a 1-replica
-            # fleet's sample stream identical to ``simulate()``'s).
-            horizon = source.head_time
-            if touched:
-                if prof_add is not None:
-                    t0 = prof_clock()
-                # A single touched device (the common case: one arrival or
-                # one completion) needs no sort.  The body below is
-                # ``Device.maybe_start`` inlined — same statements, same
-                # order — minus the call layers this loop pays millions of
-                # times on a 1M-request day.
-                order = touched if len(touched) == 1 else sorted(touched)
-                for index in order:
-                    device = devices[index]
-                    if device.busy_until is None:
-                        scheduler = device.scheduler
-                        if horizon is not None or scheduler.pending:
-                            occupancy = scheduler.next_occupancy(
-                                now, device.cost, horizon=horizon, max_steps=max_steps
-                            )
-                            stats = device.queue_stats
-                            if stats is not None:
-                                stats.add(now, scheduler.waiting)
-                            else:
-                                device.queue_depth.append((now, scheduler.waiting))
-                            if occupancy is not None:
-                                seconds = occupancy.seconds
-                                if seconds < 0:
-                                    raise ValueError(
-                                        "occupancy duration must be non-negative"
-                                    )
-                                end = occupancy.end_s
-                                if end is None:
-                                    end = now + seconds
-                                device.busy_until = end
-                                device.busy_s += seconds
-                                device._occupancy = occupancy
-                                seq += 1
-                                heap_push(heap, (end, COMPLETION, index, seq))
-                                if len(heap) > heap_max_depth:
-                                    heap_max_depth = len(heap)
-                                if rec is not None:
-                                    rec.span(
-                                        device_tracks[index],
-                                        occupancy.kind,
-                                        now,
-                                        end,
-                                        {
-                                            "steps": occupancy.steps,
-                                            "completed": len(
-                                                occupancy.completed
-                                            ),
-                                        },
-                                    )
-                touched.clear()
-                if prof_add is not None:
-                    prof_add("planning", prof_clock() - t0)
-            # 4. Advance to the next event, or stop.
-            if heap:
-                next_completion = heap[0][0]
-                if horizon is None or next_completion <= horizon:
-                    now = next_completion
-                else:
-                    now = horizon
-            else:
-                if horizon is None:
-                    stuck = sum(device.scheduler.pending for device in devices)
-                    if stuck:
-                        raise RuntimeError(
-                            f"fleet schedulers report {stuck} pending requests "
-                            "but planned no work"
-                        )
-                    break
-                now = horizon
-
-        queue._seq = seq
-        queue._pops = pops
-        queue._max_depth = heap_max_depth
-        for device in devices:
-            device.finalize(now)
-            if device.backend_name is None:
-                # A replica that received no traffic still resolves its
-                # display name against the stream's first payload
-                # (memoized, and the same fail-fast OOM check the
-                # single-device loop applies).
-                device.backend_name = device.cost.profile(first_payload).backend_name
-        if streamer is not None:
-            streamer.close(tail=source.tail())
-        elif fleet_metrics is not None:
-            # No sink, so no reorder buffer ran: count whatever an early
-            # exit left unfinished (still attributed to its routed device),
-            # then build the fleet-wide reservoirs by merging the
-            # per-device ones — the same value multiset the streamer's
-            # observer accumulates incrementally — plus the undelivered
-            # tail, which has no device (exactly as the observer counts it).
-            if live:
-                for record, index in live.values():
-                    device_fold[index](record, slo)
-            for part in device_metrics:
-                fleet_metrics.merge_from(part)
-            for record in source.tail():
-                fleet_metrics.fold(record, slo)
-    finally:
-        if streamer is not None:
-            streamer.release()
-
-    # Same contract as the single-device loop: a time-resolved recorder
-    # closes its windows on the fleet makespan and may return an AlertLog
-    # for the report; nothing it does can touch the trace or the clock.
-    alerts = rec.finalize_run(now) if rec is not None else None
-
+    engine.run()
+    rec = engine.rec
+    alerts = rec.finalize_run(engine.now) if rec is not None else None
     device_reports = []
-    for index, device in enumerate(devices):
-        streamed = None
-        if device_metrics is not None:
-            streamed = device_metrics[index]
-            streamed.queue_depth_area = device.queue_stats.area
-            streamed.max_queue_depth = device.queue_stats.max_depth
+    device_metrics = engine.device_metrics or [None] * len(devices)
+    for device, streamed in zip(devices, device_metrics):
         memory = device.memory
         device_reports.append(
             ServingReport(
                 backend_name=device.backend_name,
                 scheduler_name=device.scheduler.name,
                 records=device.records,
-                makespan_s=now,
+                makespan_s=engine.now,
                 busy_s=device.busy_s,
                 queue_depth=device.queue_depth,
                 slo=slo,
@@ -543,13 +192,14 @@ def simulate_fleet(
     return FleetReport(
         router_name=router.name,
         device_reports=device_reports,
-        records=source.records if keep_records else [],
-        assignments=assignments,
-        makespan_s=now,
+        records=engine.source.records if keep_records else [],
+        assignments=engine.assignments,
+        makespan_s=engine.now,
         slo=slo,
-        num_events=num_events,
-        early_exit=early_exit,
-        streamed=fleet_metrics,
-        event_queue=queue.stats(),
+        num_events=engine.num_events,
+        early_exit=engine.early_exit,
+        streamed=engine.fleet_metrics,
+        event_queue=engine.queue.stats(),
         alerts=alerts,
+        faults=engine.report,
     )

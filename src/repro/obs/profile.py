@@ -1,9 +1,9 @@
-"""Opt-in wall-clock phase timers for the event loops.
+"""Opt-in wall-clock phase timers for the event loop.
 
 Everything else in ``repro.obs`` runs on the simulated clock and is part
 of the determinism guarantee; this module is the one deliberate
 exception.  A :class:`PhaseProfiler` accumulates *real* elapsed seconds
-(``time.perf_counter``) around the loops' planning, dispatch and
+(``time.perf_counter``) around the event loop's planning, dispatch and
 metric-folding phases, answering "where does the simulator itself spend
 its wall clock" — the question the perf suite's ``obs`` section asks.
 

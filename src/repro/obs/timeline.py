@@ -82,7 +82,7 @@ TIMELINE_CSV_FIELDS = [
 ]
 
 #: The track :func:`repro.obs.recorder.record_request_phases` is called
-#: with by both event loops; spans here are request phases, spans on any
+#: with by the event loop; spans here are request phases, spans on any
 #: other track are device occupancies.
 _PHASE_TRACK = "requests"
 
@@ -272,7 +272,7 @@ class TimelineCollector(Recorder):
         if ts_s > self._t_max:
             self._t_max = ts_s
         if track == "faults":
-            # The fault engine's lifecycle instants: every one counts
+            # The fault handlers' lifecycle instants: every one counts
             # toward fault_events, outcome-bearing names also increment
             # their dedicated column.
             self._saw_faults = True

@@ -1,26 +1,45 @@
-"""The heap-driven event core shared by the serving and fleet loops.
+"""The event heap and the event definition of the one event loop.
 
-Both :func:`repro.serving.simulator.simulate` and
-:func:`repro.fleet.simulator.simulate_fleet` advance a virtual clock over
-the same two primitive events — device-occupancy completions and request
-arrivals — followed by the planning opportunities they create, and the
-fault-aware loop (:mod:`repro.faults.engine`) adds a third: per-device
-fault transitions (crash/recover/slowdown).  The :class:`EventQueue` is
-the shared priority queue those loops pop from: a ``heapq`` of
+Every simulation — :func:`repro.serving.simulator.simulate` (one device),
+:func:`repro.fleet.simulator.simulate_fleet` (N devices), with or without
+faults — runs the same loop (:mod:`repro.faults.engine`), and that loop
+pops its timed events from the :class:`EventQueue` here: a ``heapq`` of
 ``(time, kind, index, seq)`` entries, so finding the next event costs
-O(log n) pushes/pops instead of an O(devices) scan per iteration.
-Arrivals stay outside the heap (workload generators emit them already
-sorted; the loops merge the stream head against
-:meth:`EventQueue.peek_time`), so in practice the heap holds the
+O(log n) pushes/pops instead of an O(devices) scan.  The heap holds the
 in-flight occupancy completions — at most one per busy device — plus, on
 fault-injected runs, at most one upcoming fault transition per device.
+Arrivals stay outside the heap (workload generators emit them already
+sorted; the loop merges the stream head against
+:attr:`EventQueue.head_time`), and so do client retries (a retry heap
+merged the same way).
+
+What an event is
+----------------
+
+An *event* is one pass of the loop, and ``num_events`` on every report
+counts passes.  A pass starts at a simulated instant, delivers the
+arrivals (and client retries) due then, lets every device whose state
+changed plan its next occupancy, and ends by advancing the clock to the
+next instant at which some device can act: the next completion, fault
+transition or retry, or the next arrival routed to an idle device.
+Arrivals routed to a busy (or crashed) device on the way are delivered
+in passing, without an event of their own, because no device can act on
+them before its own next event.  Completions and faults due at the new
+instant are stamped and applied as the pass ends; the instant that
+resolves the last open request ends the run and is not an event.  The
+first pass starts at t = 0.
+
+Because all shapes share the loop, the same arrival schedule yields the
+same ``num_events`` from ``simulate()``, from a 1-replica
+``simulate_fleet()`` and from either under a fault spec that never
+fires, so events/s and ``events_ratio`` compare across shapes.
 
 The event-ordering contract
 ---------------------------
 
 Determinism — byte-identical trace CSVs under a fixed seed, coalesced or
 not — rests on a total order over simultaneous events, and the entry
-tuples encode exactly the order the linear-scan loops used:
+tuples encode it:
 
 1. ``time``: virtual seconds; earlier events first.
 2. ``kind``: at equal times, :data:`COMPLETION` (0) sorts before
@@ -30,21 +49,22 @@ tuples encode exactly the order the linear-scan loops used:
    crash instant still counts — its tokens were produced), faults apply
    before new arrivals are routed (an arrival at the crash instant
    already sees the device down, so health-aware routing steers around
-   it), and arrivals are delivered before idle devices plan — the
-   single-device iteration order, generalized.
-3. ``index``: at equal (time, kind), the smaller device index wins —
-   the fleet loop's "device order is the tie-break" rule.
+   it), and arrivals are delivered before idle devices plan.
+3. ``index``: at equal (time, kind), the smaller device index wins.
 4. ``seq``: a monotonic push counter, making the sort total (and stable
    for repeated pushes of the same (time, kind, index)) without ever
    comparing payloads.
 
 Consumers must preserve the contract when batching: popping everything
-due at one instant via :meth:`pop_due` yields the entries already in this
-order, and planning passes run over the touched-device set in ascending
-index order.  Client retries re-enter through the *arrival* stage (a
-retry heap merged against the workload stream, source arrivals first at
-equal timestamps), so a retry landing on an existing event time slots
-into the same total order as any other arrival.
+due at one instant via :meth:`EventQueue.pop_due` yields the entries
+already in this order, and planning passes run over the touched-device
+set in ascending index order.  An arrival routed in passing is strictly
+earlier than the next heap entry and the next retry or hedge timer (one
+armed by an arrival routed earlier in the same advance included), so it
+never overtakes any of them.  Client retries re-enter through the
+*arrival* stage (source arrivals first at equal timestamps), so a retry
+landing on an existing event time slots into the same total order as
+any other arrival.
 """
 
 from __future__ import annotations
@@ -65,20 +85,24 @@ Event = Tuple[float, int, int, int]
 class EventQueue:
     """A deterministic min-heap of simulation events.
 
-    ``push`` and ``pop`` are O(log n); ``peek_time`` is O(1).  The queue
-    never compares payload objects — ordering is fully decided by the
+    ``push`` and ``pop`` are O(log n); the next event's time is the
+    plain attribute :attr:`head_time` (the loop reads it once per event,
+    like the arrival sources' ``head_time``).  The queue never compares
+    payload objects — ordering is fully decided by the
     ``(time, kind, index, seq)`` tuple — so any event mix is totally
     ordered and a run replays identically however the heap internally
     arranges equal-priority siblings.
     """
 
-    __slots__ = ("_heap", "_seq", "_pops", "_max_depth")
+    __slots__ = ("_heap", "_seq", "_pops", "_max_depth", "head_time")
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._seq = 0
         self._pops = 0
         self._max_depth = 0
+        #: Time of the next event, or None when the queue is empty.
+        self.head_time: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -91,17 +115,21 @@ class EventQueue:
         self._seq += 1
         heap = self._heap
         heapq.heappush(heap, (time, kind, index, self._seq))
+        self.head_time = heap[0][0]
         if len(heap) > self._max_depth:
             self._max_depth = len(heap)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next event, or None when the queue is empty."""
-        return self._heap[0][0] if self._heap else None
+        return self.head_time
 
     def pop(self) -> Event:
         """Remove and return the next event (raises IndexError when empty)."""
+        heap = self._heap
+        entry = heapq.heappop(heap)
         self._pops += 1
-        return heapq.heappop(self._heap)
+        self.head_time = heap[0][0] if heap else None
+        return entry
 
     def pop_due(self, now: float) -> List[Event]:
         """All events with ``time <= now``, in the contract's order."""
@@ -110,30 +138,12 @@ class EventQueue:
         while heap and heap[0][0] <= now:
             due.append(heapq.heappop(heap))
         self._pops += len(due)
+        self.head_time = heap[0][0] if heap else None
         return due
 
-    # -- debug counters ------------------------------------------------------
-    # The heap's lifetime totals are pure functions of the event sequence,
-    # so they are deterministic and safe to surface on reports.  The fleet
-    # loop, which drives the heap through hoisted locals, maintains the
-    # same counters locally and writes them back here before reporting.
-    @property
-    def pushes(self) -> int:
-        """Events ever scheduled (the push counter doubles as the seq)."""
-        return self._seq
-
-    @property
-    def pops(self) -> int:
-        """Events ever removed (``pop`` and ``pop_due`` combined)."""
-        return self._pops
-
-    @property
-    def max_depth(self) -> int:
-        """Largest number of events simultaneously in the heap."""
-        return self._max_depth
-
     def stats(self) -> Dict[str, int]:
-        """``{"pushes", "pops", "max_depth"}`` for report debug metrics."""
+        """Lifetime ``{"pushes", "pops", "max_depth"}`` for report debug
+        metrics: pure functions of the event sequence, so deterministic."""
         return {
             "pushes": self._seq,
             "pops": self._pops,

@@ -70,14 +70,14 @@ class RequestRecord:
     #: "timed_out", or "failed".  Any non-None outcome is an SLO miss.
     outcome: Optional[str] = None
     #: Simulated dispatch time of each attempt, in order (None until the
-    #: first dispatch on a fault-aware run; plain runs never populate it).
+    #: first dispatch on a resilient run; plain runs never populate it).
     attempt_s: Optional[list] = None
     #: This record is a hedge attempt spawned by a
     #: :class:`repro.faults.RetryPolicy`, not a client request — it never
     #: appears in reports or traces (its stamps are copied to the primary
     #: record if it wins).
     hedge: bool = False
-    #: Marked by the fault engine when the record should be silently
+    #: Marked by the fault handlers when the record should be silently
     #: dropped from a waiting queue (hedge resolved elsewhere).
     cancelled: bool = False
 

@@ -62,10 +62,10 @@ runs stay byte-identical with the model enabled too.  ``memory=None``
 Faults
 ------
 
-The fault-aware event loop (:mod:`repro.faults.engine`) attaches a
-per-device ``FaultGate`` to :attr:`Scheduler.faults` before a run.  The
-gate adds three behaviours, all inert when the attribute is None (the
-class default, so plain runs pay a single identity check):
+On runs with a fault spec, retry policy or deadline, the event loop
+(:mod:`repro.faults.engine`) attaches a per-device ``FaultGate`` to
+:attr:`Scheduler.faults`.  The gate adds three behaviours, all inert when
+the attribute is None (so plain runs pay a single identity check):
 
 * **Load shedding** — at every planning call the waiting queue drops
   requests whose deadline already expired (projected queue wait is
@@ -84,6 +84,10 @@ class default, so plain runs pay a single identity check):
   straddling step — the one the crash aborts or the slowdown reprices —
   is planned as its own single-step occupancy in coalesced and
   step-by-step runs alike, keeping them byte-identical under faults.
+  Deadline expiry caps coalescing the same way: a decode window stops at
+  the first step boundary reaching the earliest instant a queued or
+  arriving request could be shed, so shedding — and the queue lengths
+  routers read — land on the step boundaries the step-by-step loop uses.
 
 ``evict_all`` supports crash aborts: it drains every request the
 scheduler still owes work to (in-flight batch members first, then the
@@ -94,9 +98,10 @@ re-prefill (and re-spill) when they are admitted elsewhere.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.serving.request import RequestRecord
 
@@ -147,6 +152,34 @@ def _cap_reason(
     return "completion"
 
 
+def _window(
+    now: float, step: float, limit: int, cap: float, boundary: Optional[float]
+) -> Tuple[int, float]:
+    """Coalesce up to ``limit`` decode steps from ``now``: ``(steps, end)``.
+
+    The end is accumulated one step at a time, so it walks the exact float
+    sequence the step-by-step loop produces.  The window stops at the
+    first step boundary reaching ``cap`` (see
+    ``ContinuousBatchScheduler.next_occupancy``) and never adds a step that
+    crosses the fault ``boundary``: the straddling step — the one a crash
+    aborts or a slowdown reprices — is planned alone, exactly as the
+    step-by-step loop plans it.
+    """
+    steps, end = 1, now + step
+    if boundary is None:
+        while steps < limit and end < cap:
+            steps += 1
+            end += step
+    else:
+        while steps < limit and end < cap:
+            nxt = end + step
+            if nxt > boundary:
+                break
+            steps += 1
+            end = nxt
+    return steps, end
+
+
 class Scheduler:
     """Base policy: a FIFO waiting queue plus the planning hook."""
 
@@ -157,13 +190,12 @@ class Scheduler:
     #: Emissions are read-only observations of decisions already made, so
     #: attaching one never changes what the scheduler plans.
     recorder = None
-    #: Recorder track this scheduler's decision instants land on; the
-    #: fleet loop renames it per replica (``device0``, ``device1``, ...).
+    #: Recorder track this scheduler's decision instants land on; fleet
+    #: runs rename it per replica (``device0``, ``device1``, ...).
     track = "device"
     #: Per-run fault gate (:class:`repro.faults.engine.FaultGate`),
-    #: attached by the fault-aware event loop; None (the class default)
-    #: keeps every fault consultation on the plain loops a single
-    #: identity check.
+    #: attached on resilient runs; None (the default) keeps every fault
+    #: consultation on plain runs a single identity check.
     faults = None
 
     def __init__(self) -> None:
@@ -503,33 +535,25 @@ class ContinuousBatchScheduler(Scheduler):
         if max_steps is not None and max_steps < limit:
             limit = max_steps
         boundary = gate.boundary_s if gate is not None else None
-        if memory is not None:
-            return self._decode_with_memory(
-                now, step, limit, horizon, max_steps, boundary
-            )
         # With a free slot, a future arrival is admissible at any step
-        # boundary: stop at the first boundary that reaches the horizon
-        # (with a full batch, arrivals can only queue — no cap needed).
-        admission_open = horizon is not None and len(active) < self.max_batch
-        # Accumulate the boundaries one step at a time: `end` walks the
-        # exact float sequence the uncoalesced loop would produce.
-        steps, end = 1, now + step
-        if boundary is None:
-            while steps < limit and not (admission_open and end >= horizon):
-                steps += 1
-                end += step
-        else:
-            # A fault transition is an interesting boundary: never extend
-            # the window with a step that crosses it.  The straddling step
-            # (if any) is planned alone — exactly what the step-by-step
-            # loop does — so crash aborts and slowdown repricing land on
-            # identical occupancies in coalesced and uncoalesced runs.
-            while steps < limit and not (admission_open and end >= horizon):
-                nxt = end + step
-                if nxt > boundary:
-                    break
-                steps += 1
-                end = nxt
+        # boundary, so the window stops at the first boundary reaching the
+        # horizon (with a full batch, arrivals can only queue).  Under a
+        # deadline it also stops at the first boundary reaching the earliest
+        # instant a queued or still-arriving request could be shed, so the
+        # queue a router reads drops it where the step-by-step loop does.
+        cap = math.inf
+        if horizon is not None and len(active) < self.max_batch:
+            cap = horizon
+        if gate is not None and gate.deadline_s is not None:
+            first = horizon
+            for record in self._waiting:
+                if first is None or record.arrival_s < first:
+                    first = record.arrival_s
+            if first is not None and first + gate.deadline_s < cap:
+                cap = first + gate.deadline_s
+        if memory is not None:
+            return self._decode_with_memory(now, step, limit, cap, max_steps, boundary)
+        steps, end = _window(now, step, limit, cap, boundary)
         finished = []
         for entry in active:
             entry[1] -= steps
@@ -721,7 +745,7 @@ class ContinuousBatchScheduler(Scheduler):
         now: float,
         step: float,
         limit: int,
-        horizon: Optional[float],
+        cap: float,
         max_steps: Optional[int] = None,
         boundary: Optional[float] = None,
     ) -> Occupancy:
@@ -748,25 +772,11 @@ class ContinuousBatchScheduler(Scheduler):
         if memory.spilled_bytes == 0 and growth <= pool.free_bytes:
             # Regime A — the DRAM-fill boundary caps the fast-forward.
             if growth:
-                cap = pool.free_bytes // growth
-                if cap < limit:
-                    limit = cap
+                fill = pool.free_bytes // growth
+                if fill < limit:
+                    limit = fill
                     dram_capped = True
-            admission_open = horizon is not None and len(active) < self.max_batch
-            steps, end = 1, now + step
-            if boundary is None:
-                while steps < limit and not (admission_open and end >= horizon):
-                    steps += 1
-                    end += step
-            else:
-                # Fault boundaries cap regime-A coalescing exactly like
-                # the slot-count path (see ``next_occupancy``).
-                while steps < limit and not (admission_open and end >= horizon):
-                    nxt = end + step
-                    if nxt > boundary:
-                        break
-                    steps += 1
-                    end = nxt
+            steps, end = _window(now, step, limit, cap, boundary)
             if growth:
                 pool.admit(steps * growth)
                 for entry in active:
