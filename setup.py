@@ -1,8 +1,11 @@
 """Setuptools shim.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so that
-legacy editable installs (``pip install -e . --no-use-pep517``) work on
-systems without the ``wheel`` package or network access.
+The package has no build step and no other packaging metadata: run it
+from a checkout with ``PYTHONPATH=src``.  ``import repro`` needs
+``numpy`` at runtime; the test suite (``python -m pytest``) also needs
+``pytest``, ``pytest-benchmark`` and ``hypothesis``.  This file only
+keeps legacy editable installs (``pip install -e . --no-use-pep517``)
+working on systems without the ``wheel`` package or network access.
 """
 
 from setuptools import setup

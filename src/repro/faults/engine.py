@@ -82,11 +82,12 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from typing import Iterable, List, Optional
 
 from repro.api.request import InferenceRequest
 from repro.fleet.device import Device
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS
+from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, fleet_trace_values
 from repro.fleet.router import Router
 from repro.obs.recorder import record_request_phases
 from repro.serving.events import COMPLETION, FAULT, EventQueue
@@ -94,7 +95,7 @@ from repro.serving.metrics import (
     SLOSpec,
     StreamedMetrics,
     TRACE_CSV_FIELDS,
-    metric_sample,
+    _QueueDepthStats,
     trace_values,
 )
 from repro.serving.request import RequestRecord, ServingRequest
@@ -194,32 +195,6 @@ class _ArrivalSource:
         return tail
 
 
-class _QueueDepthStats:
-    """Streaming replacement for the (time, depth) sample list.
-
-    Accumulates exactly the aggregates the report derives from the list —
-    the time-weighted area (for the mean) and the maximum — so a
-    ``keep_records=False`` run reports identical queue statistics while
-    holding O(1) sample state.
-    """
-
-    __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
-
-    def __init__(self) -> None:
-        self.area = 0.0
-        self.max_depth = 0
-        self._last_t: Optional[float] = None
-        self._last_depth = 0
-
-    def add(self, now: float, depth: int) -> None:
-        if self._last_t is not None:
-            self.area += self._last_depth * (now - self._last_t)
-        self._last_t = now
-        self._last_depth = depth
-        if depth > self.max_depth:
-            self.max_depth = depth
-
-
 class FaultGate:
     """Per-device fault state shared between the loop and the scheduler.
 
@@ -279,7 +254,7 @@ class _Engine:
         "_fault_head",
         # observability and output
         "rec", "prof_add", "prof_clock", "fleet_metrics", "device_metrics",
-        "streamer", "live", "device_fold",
+        "device_fold", "live", "streamer",
     )
 
     def __init__(
@@ -303,8 +278,8 @@ class _Engine:
             raise TypeError(f"faults must be a FaultSpec, got {type(faults).__name__}")
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+        if deadline_s is not None and not (math.isfinite(deadline_s) and deadline_s > 0):
+            raise ValueError(f"deadline_s must be finite and positive, got {deadline_s!r}")
         if max_steps is not None and max_steps < 1:
             raise ValueError("max_steps must be at least 1 when given")
         if fail_fast and slo is None:
@@ -343,8 +318,6 @@ class _Engine:
         track_work = fleet and router.needs_work_estimates
         for device in devices:
             device.track_work = track_work
-            # The serving shape reports the source's records directly.
-            device.keep_records = keep_records and fleet
             if not keep_records:
                 device.queue_stats = _QueueDepthStats()
 
@@ -358,8 +331,9 @@ class _Engine:
             FaultInjector(faults, len(devices)) if faults is not None else None
         )
         self.report = FaultReport(num_devices=len(devices)) if resilient else None
-        #: id(record) -> index into ``assignments`` (overwritten before
-        #: every read at delivery time, so id reuse cannot corrupt it).
+        #: id(record) -> index into ``assignments``, written at a primary's
+        #: arrival and read only while it is open (never for a hedge
+        #: attempt), so id reuse cannot corrupt it.
         self.arrival_pos: dict = {}
         #: id(record) -> device index currently owning the record.
         self.owner: dict = {}
@@ -436,61 +410,40 @@ class _Engine:
         self.prof_add = profiler.add if profiler is not None else None
         self.prof_clock = profiler.clock if profiler is not None else None
 
-        # -- streaming / metrics ----------------------------------------------
+        # -- metrics and trace --------------------------------------------------
+        # The loop folds each record into the store of the device that
+        # resolves it when the report cannot fold the records afterwards
+        # (they are dropped) or the loop needs each verdict (fail_fast).
         self.fleet_metrics: Optional[StreamedMetrics] = None
         self.device_metrics: Optional[List[StreamedMetrics]] = None
-        self.streamer: Optional[TraceStreamer] = None
-        #: Delivered-but-unfinished records with their device, tracked only
-        #: when an early exit could leave some behind; metrics-only runs (no
-        #: sink) otherwise skip the reorder buffer and fold each record into
-        #: its device's reservoirs at completion.
-        self.live: Optional[dict] = None
-        slo_met = 0 if slo is not None else None
-        if not keep_records:
+        self.device_fold = None
+        if not keep_records or fail_fast:
+            slo_met = 0 if slo is not None else None
             self.device_metrics = [StreamedMetrics(slo_met=slo_met) for _ in devices]
-            # The serving shape's one device reservoir is the run's.
+            # The serving shape's one device store is the run's.
             self.fleet_metrics = (
                 StreamedMetrics(slo_met=slo_met) if fleet else self.device_metrics[0]
             )
+            self.device_fold = [metrics.fold for metrics in self.device_metrics]
+        #: id(record) -> [record, device] for delivered-but-unresolved
+        #: records, so an early exit folds its leftovers on their devices.
+        self.live: Optional[dict] = {} if fail_fast else None
+        self.streamer: Optional[TraceStreamer] = None
         if trace_sink is not None:
-            observers = []
             if fleet:
                 assignments = self.assignments
 
                 def row_of(record, index):
-                    values = trace_values(record, slo)
-                    cell = assignments[index] if index < len(assignments) else ""
-                    return [values[0], cell] + values[1:]
+                    return fleet_trace_values(record, slo, assignments, index)
 
                 header = FLEET_TRACE_CSV_FIELDS
-                if self.fleet_metrics is not None:
-                    fleet_metrics = self.fleet_metrics
-                    device_metrics = self.device_metrics
-
-                    def observe(record, index):
-                        sample = metric_sample(record, slo)
-                        fleet_metrics.add_sample(sample)
-                        if index < len(assignments):
-                            device_metrics[assignments[index]].add_sample(sample)
-
-                    observers.append(observe)
             else:
 
                 def row_of(record, index):
                     return trace_values(record, slo)
 
                 header = TRACE_CSV_FIELDS
-                if self.fleet_metrics is not None:
-                    metrics = self.fleet_metrics
-                    observers.append(lambda record, index: metrics.fold(record, slo))
-            self.streamer = TraceStreamer(trace_sink, header, row_of, observers)
-        elif self.fleet_metrics is not None and fail_fast:
-            self.live = {}
-        self.device_fold = (
-            [metrics.fold for metrics in self.device_metrics]
-            if self.streamer is None and self.device_metrics is not None
-            else None
-        )
+            self.streamer = TraceStreamer(trace_sink, header, row_of)
 
     # -- gate callbacks -------------------------------------------------------
     def _forget(self, index: int, record: RequestRecord) -> None:
@@ -538,16 +491,18 @@ class _Engine:
 
     # -- terminal resolution --------------------------------------------------
     def _finish_terminal(self, record: RequestRecord, index: int) -> None:
-        """Close out a primary record (success or terminal outcome)."""
+        """Close out a primary record (success or terminal outcome): its
+        trace row may flush, and this is where the loop folds a record
+        into the store of the device that resolved it."""
         self.open_requests -= 1
-        if self.fail_fast and not self.slo.met_by(record):
-            self.missed += 1
         if self.streamer is not None:
             self.streamer.finish(record)
-        elif self.device_fold is not None:
-            self.device_fold[index](record, self.slo)
+        if self.device_fold is not None:
+            met = self.device_fold[index](record, self.slo)
             if self.live is not None:
-                self.live.pop(id(record), None)
+                del self.live[id(record)]
+                if not met:
+                    self.missed += 1
 
     def _record_phases(self, record: RequestRecord, index: int) -> None:
         """QUEUE/PREFILL/DECODE spans of a finished request (tagged with
@@ -606,14 +561,16 @@ class _Engine:
                 assignments.append(index)
             if self.streamer is not None:
                 self.streamer.register(record)
-            elif self.live is not None:
-                self.live[id(record)] = (record, index)
+            if self.live is not None:
+                self.live[id(record)] = [record, index]
             if self.hedge_after_s is not None:
                 self._push_retry(record.arrival_s + self.hedge_after_s, _HEDGE, record)
-        elif assignments is not None:
-            pos = self.arrival_pos.get(id(record))
-            if pos is not None:
-                assignments[pos] = index
+        elif assignments is not None and not record.hedge:
+            # A hedge attempt has no row; its id may even reuse a dropped
+            # record's, so it must never read ``arrival_pos``.
+            assignments[self.arrival_pos[id(record)]] = index
+            if self.live is not None:
+                self.live[id(record)][1] = index
         return index
 
     def _push_retry(self, time_s: float, action: int, record: RequestRecord) -> None:
@@ -659,21 +616,8 @@ class _Engine:
                     )
                 self._deliver(attempt, now, arrival=False)
 
-    @staticmethod
-    def _forget_device_record(device: Device, record: RequestRecord) -> None:
-        """Identity-based removal from ``device.records`` (a record that
-        left this device mid-flight belongs to the device that resolves
-        it; dataclass equality would match the wrong twin)."""
-        records = device.records
-        for i in range(len(records) - 1, -1, -1):
-            if records[i] is record:
-                del records[i]
-                break
-
     # -- completion handling --------------------------------------------------
-    def _member_done(
-        self, index: int, device: Device, record: RequestRecord, time_s: float
-    ) -> None:
+    def _member_done(self, index: int, record: RequestRecord, time_s: float) -> None:
         """Resolve one batch member of a finished occupancy (every run
         completes through here; without a spec only the stamp and the
         fold remain)."""
@@ -697,7 +641,6 @@ class _Engine:
                 record.prefill_start_s = None
                 delay = retry.delay_s(record.attempts, record.request_id)
                 self._push_retry(time_s + delay, _RETRY, record)
-                self._forget_device_record(device, record)
                 return
             record.outcome = "failed"
             self.report.failed += 1
@@ -749,9 +692,6 @@ class _Engine:
             primary.cancelled = True
             self.devices[prev].gate.dirty = True
             self.touched.add(prev)
-            self._forget_device_record(self.devices[prev], primary)
-            if self.devices[index].keep_records:
-                self.devices[index].records.append(primary)
         deadline = self.deadline_s
         if deadline is not None and time_s - primary.arrival_s > deadline:
             primary.outcome = "timed_out"
@@ -851,7 +791,6 @@ class _Engine:
             record.first_token_s = None
             record.finish_s = None
             self.report.requeued += 1
-            self._forget_device_record(device, record)
             if rec is not None:
                 rec.instant(
                     "faults",
@@ -1010,7 +949,7 @@ class _Engine:
                             continue
                         idle_faults = 0
                         for record in completed:
-                            member_done(index, device, record, time_s)
+                            member_done(index, record, time_s)
                         if router is not None:
                             router.on_completed(index, device)
                         touched.add(index)
@@ -1058,20 +997,25 @@ class _Engine:
         tail = self.source.tail()
         if self.streamer is not None:
             self.streamer.close(tail=tail)
-        elif self.fleet_metrics is not None:
-            # No sink, so no reorder buffer ran: count whatever an early
-            # exit left unfinished (attributed to its routed device), then
-            # build the fleet-wide view by merging the per-device
-            # reservoirs, plus the undelivered tail, which has no device.
+        if self.source.records is not None and self.router is not None:
+            # A kept record belongs to the device its trace row names.
+            for record, index in zip(self.source.records, self.assignments):
+                self.devices[index].records.append(record)
+        if self.device_metrics is not None:
+            # Fold whatever an early exit left unresolved on its device,
+            # merge the per-device stores into the fleet-wide one, and add
+            # the undelivered tail, which has no device.
+            slo = self.slo
             if self.live:
                 for record, index in self.live.values():
-                    self.device_fold[index](record, self.slo)
+                    self.device_fold[index](record, slo)
             if self.router is not None:
                 for part in self.device_metrics:
                     self.fleet_metrics.merge_from(part)
             for record in tail:
-                self.fleet_metrics.fold(record, self.slo)
-        if self.device_metrics is not None:
+                self.fleet_metrics.fold(record, slo)
             for device, metrics in zip(self.devices, self.device_metrics):
-                metrics.queue_depth_area = device.queue_stats.area
-                metrics.max_queue_depth = device.queue_stats.max_depth
+                stats = device.queue_stats
+                metrics.set_queue_depth(
+                    stats if stats is not None else _QueueDepthStats(device.queue_depth)
+                )

@@ -35,7 +35,6 @@ class Device:
         "_occupancy",
         "outstanding",
         "outstanding_work_s",
-        "keep_records",
         "track_work",
         "queue_stats",
         "up",
@@ -79,6 +78,8 @@ class Device:
         self.backend_name: Optional[str] = None
 
         # -- timeline state ---------------------------------------------------
+        #: A kept fleet run's records whose trace row names this device
+        #: (filled by the event loop when the run ends).
         self.records: List[RequestRecord] = []
         self.busy_until: Optional[float] = None
         self.busy_s = 0.0
@@ -88,10 +89,6 @@ class Device:
         self.outstanding = 0
         #: Estimated seconds of solo work assigned but not finished.
         self.outstanding_work_s = 0.0
-        #: When False (a ``keep_records=False`` run, or any single-device
-        #: run, whose report lists the source records) arrivals are not
-        #: retained in :attr:`records`.
-        self.keep_records = True
         #: When False the loop's router never reads
         #: :attr:`outstanding_work_s`, so enqueue/complete skip the
         #: per-record cost lookups that feed it (set per run by
@@ -144,8 +141,6 @@ class Device:
             # Resolve the display name (and fail fast on an OOM payload) on
             # the first request this device receives.
             self.backend_name = self.cost.profile(record.request).backend_name
-        if self.keep_records and not record.hedge:
-            self.records.append(record)
         self.outstanding += 1
         if self.track_work:
             self.outstanding_work_s += self.job_seconds(record)

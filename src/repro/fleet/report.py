@@ -4,16 +4,15 @@ A :class:`FleetReport` is to :func:`repro.fleet.simulator.simulate_fleet`
 what :class:`repro.serving.metrics.ServingReport` is to the single-device
 loop — and it is built *from* per-device ``ServingReport`` objects, one
 per replica, all sharing the fleet makespan.  Aggregate latency
-percentiles, throughput, goodput and attainment are computed over the
-merged record set; utilization, queue depth and request counts stay
-visible per device, along with the imbalance between the busiest and
-idlest replica that routing policies are judged by.
+percentiles, throughput, goodput and attainment come from the fleet-wide
+metric store (the loop's merge of the per-device stores, or one folded
+from the merged records); utilization, queue depth and request counts
+stay visible per device, along with the imbalance between the busiest
+and idlest replica that routing policies are judged by.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -23,13 +22,31 @@ from repro.serving.metrics import (
     ServingReport,
     StreamedMetrics,
     TRACE_CSV_FIELDS,
-    percentile_triplet,
-    trace_row,
+    trace_values,
+    write_trace_csv,
 )
 from repro.serving.request import RequestRecord
 
 #: Fleet trace columns: the serving trace plus the routed device.
 FLEET_TRACE_CSV_FIELDS = ["request_id", "device"] + TRACE_CSV_FIELDS[1:]
+
+
+def fleet_trace_values(
+    record: RequestRecord,
+    slo: Optional[SLOSpec],
+    assignments: List[int],
+    index: int,
+) -> List[object]:
+    """One record's cells in :data:`FLEET_TRACE_CSV_FIELDS` order: the
+    serving row with the routed device of trace row ``index`` second
+    (blank for a request an ``early_exit`` run never routed).
+
+    Shared by :meth:`FleetReport.to_csv` and the loop's trace streamer,
+    so a streamed fleet trace is the kept one byte for byte.
+    """
+    values = trace_values(record, slo)
+    values.insert(1, assignments[index] if index < len(assignments) else "")
+    return values
 
 
 @dataclass
@@ -52,9 +69,9 @@ class FleetReport:
     #: True when a ``fail_fast`` run aborted early because SLO attainment
     #: could no longer reach the threshold (records are partially stamped).
     early_exit: bool = False
-    #: Exact fleet-wide streamed accumulators from a ``keep_records=False``
-    #: run (``records`` is empty then); every merged metric is answered
-    #: from these instead.
+    #: The fleet-wide metric store folded by the event loop (a
+    #: ``keep_records=False`` or ``fail_fast`` run); None lets the merged
+    #: view fold ``records`` itself.
     streamed: Optional[StreamedMetrics] = None
     #: Global event-heap debug counters (``{"pushes", "pops",
     #: "max_depth"}``); None when built outside the event loop.
@@ -79,7 +96,8 @@ class FleetReport:
     # -- merged metrics (same derivations as ServingReport) ------------------
     @cached_property
     def _merged(self) -> ServingReport:
-        """The whole fleet viewed as one device (records merged, cached)."""
+        """The whole fleet viewed as one device (records merged, cached):
+        every fleet-wide aggregate and summary row is answered by it."""
         return ServingReport(
             backend_name="fleet",
             scheduler_name=self.router_name,
@@ -88,14 +106,16 @@ class FleetReport:
             busy_s=sum(report.busy_s for report in self.device_reports),
             queue_depth=[],
             slo=self.slo,
+            num_events=self.num_events,
             streamed=self.streamed,
+            event_queue=self.event_queue,
+            alerts=self.alerts,
+            faults=self.faults,
         )
 
     @property
     def num_requests(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.num_requests
-        return len(self.records)
+        return self._merged.num_requests
 
     @property
     def num_completed(self) -> int:
@@ -146,9 +166,6 @@ class FleetReport:
     def summary_rows(self) -> Tuple[List[str], List[List[object]]]:
         """(headers, rows) for :func:`repro.reporting.print_table`."""
         merged = self._merged
-        ttft = merged.percentiles("ttft")
-        tpot = merged.percentiles("tpot")
-        e2e = merged.percentiles("e2e")
         utils = self.utilizations
         rows: List[List[object]] = [
             ["devices", self.num_devices],
@@ -163,37 +180,11 @@ class FleetReport:
                 f"{100.0 * min(utils):.1f}/{100.0 * max(utils):.1f}",
             ],
             ["imbalance (util max-min)", self.imbalance],
-            ["TTFT p50/p95/p99 (s)", percentile_triplet(ttft)],
-            ["TPOT p50/p95/p99 (ms)", percentile_triplet(tpot, scale=1e3)],
-            ["e2e p50/p95/p99 (s)", percentile_triplet(e2e)],
+            *merged._latency_rows(),
+            *merged._detail_rows(),
         ]
-        if self.event_queue is not None:
-            heap = self.event_queue
-            rows.append(
-                [
-                    "event heap push/pop/depth",
-                    f"{heap['pushes']}/{heap['pops']}/{heap['max_depth']}",
-                ]
-            )
         if self.num_completed != self.num_requests:
             rows.insert(3, ["completed", self.num_completed])
-        if self.faults is not None:
-            rows.extend([label, value] for label, value in self.faults.rows())
-        if self.slo is not None:
-            rows.extend(
-                [
-                    ["SLO attainment (%)", 100.0 * self.slo_attainment()],
-                    ["goodput (req/s)", self.goodput_rps()],
-                    ["meets SLO", self.meets_slo()],
-                ]
-            )
-        if self.alerts is not None:
-            rows.append(
-                [
-                    "alerts (fired/resolved)",
-                    f"{len(self.alerts.fires())}/{len(self.alerts.resolves())}",
-                ]
-            )
         return ["metric", "value"], rows
 
     def per_device_rows(self) -> Tuple[List[str], List[List[object]]]:
@@ -234,24 +225,8 @@ class FleetReport:
         routed carry a blank device cell (their timing cells are already
         blank), matching the single-device report's complete trace.
         """
-        if self.streamed is not None:
-            raise ValueError(
-                "this report was built with keep_records=False; pass "
-                "trace_sink= to simulate_fleet to stream the trace instead"
-            )
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=FLEET_TRACE_CSV_FIELDS, lineterminator="\n"
+        rows = (
+            fleet_trace_values(record, self.slo, self.assignments, index)
+            for index, record in enumerate(self._merged._kept_records())
         )
-        writer.writeheader()
-        for index, record in enumerate(self.records):
-            row = trace_row(record, self.slo)
-            row["device"] = (
-                self.assignments[index] if index < len(self.assignments) else ""
-            )
-            writer.writerow(row)
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as handle:
-                handle.write(text)
-        return text
+        return write_trace_csv(FLEET_TRACE_CSV_FIELDS, rows, path)

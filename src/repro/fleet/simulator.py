@@ -22,9 +22,10 @@ All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
 evaluations because every replica of the same backend hits the same
 memoized profiles.  With ``trace_sink``/``keep_records=False`` each
-request's trace row streams out the moment it is stamped while exact
-metric reservoirs fold per device, so a million-request, hundred-device
-day runs in seconds holding O(in-flight) record state.
+request's trace row streams out the moment it is stamped and each
+record is folded into the metric store of the device that resolved it,
+so a million-request, hundred-device day runs in seconds holding
+O(in-flight) record state.
 """
 
 from __future__ import annotations
@@ -115,10 +116,13 @@ def simulate_fleet(
     ``trace_sink``/``keep_records`` stream the fleet trace exactly as in
     :func:`repro.serving.simulator.simulate`: rows (including the routed
     device column) are written in arrival order the moment each request is
-    fully stamped, byte-identical to :meth:`FleetReport.to_csv`, and with
-    ``keep_records=False`` the run holds O(in-flight) record state while
-    the report answers every aggregate from exact streamed reservoirs
-    (fleet-wide and per-device).  Lazy (non-list) streams combined with
+    fully stamped, byte-identical to :meth:`FleetReport.to_csv`.  With
+    ``keep_records=False`` the loop folds each record into the metric
+    store of the device that resolved it (the device its trace row
+    names), sink or not, and the fleet-wide store merges them; the run
+    holds O(in-flight) record state and the report answers every
+    aggregate, fleet-wide and per device, from the same stores a kept
+    report folds from its records.  Lazy (non-list) streams combined with
     ``keep_records=False`` are consumed incrementally and cannot be used
     with ``fail_fast``.
 

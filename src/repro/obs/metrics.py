@@ -539,24 +539,8 @@ def serving_snapshot(report, cost_model=None) -> MetricsSnapshot:
 def fleet_snapshot(report, cost_models=None) -> MetricsSnapshot:
     """One FleetReport as a snapshot: fleet-wide plus per-device samples."""
     registry = MetricsRegistry()
-    merged = report._merged
-    _absorb_serving(registry, merged)
-    if report.num_events is not None:
-        # _absorb_serving saw the merged view, which carries no events;
-        # record the fleet loop's global count explicitly.
-        registry.counter(
-            "repro_events_total", "Event-loop iterations processed"
-        ).inc(report.num_events)
-    event_queue = getattr(report, "event_queue", None)
-    if event_queue is not None:
-        ops = registry.counter(
-            "repro_event_queue_ops_total", "Event heap operations"
-        )
-        ops.inc(event_queue["pushes"], op="push")
-        ops.inc(event_queue["pops"], op="pop")
-        registry.gauge(
-            "repro_event_queue_max_depth", "Peak event heap size"
-        ).set(event_queue["max_depth"])
+    # The merged view carries the fleet loop's event counters too.
+    _absorb_serving(registry, report._merged)
     routed = registry.counter(
         "repro_router_decisions_total", "Requests routed per device"
     )

@@ -3,10 +3,14 @@
 The :class:`ServingReport` is to the serving simulator what
 :class:`repro.api.result.RunResult` is to a single job: the one container
 every consumer (CLI, capacity search, tests, notebooks) reads.  It holds
-the completed per-request records plus the device timeline and derives
-latency percentiles (TTFT, time-per-output-token, end-to-end), queue
-depth over time, utilization, throughput and — against an
-:class:`SLOSpec` — attainment and goodput.
+the per-request records (unless the run dropped them) plus the device
+timeline, and answers latency percentiles (TTFT, time-per-output-token,
+end-to-end), queue depth, utilization, throughput and — against an
+:class:`SLOSpec` — attainment and goodput from one
+:class:`StreamedMetrics` store.  :meth:`StreamedMetrics.fold` is the
+only code that turns a record into metrics: the event loop folds into
+the store as records resolve, or the report folds its own records, so
+a streamed run and a kept run agree by construction.
 
 Everything is a pure function of the records, so a report is exactly as
 deterministic as the simulation that produced it: the same seed yields a
@@ -17,9 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, MutableSequence, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.serving.request import RequestRecord
 
@@ -30,6 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Percentiles reported for every latency metric.
 REPORT_PERCENTILES = (50.0, 95.0, 99.0)
+
+#: Latency metric name -> its :class:`StreamedMetrics` reservoir.
+_METRIC_RESERVOIRS = {
+    "ttft": "ttfts",
+    "tpot": "tpots",
+    "e2e": "e2es",
+    "queue_wait": "queue_waits",
+}
 
 #: Per-request trace columns written by :meth:`ServingReport.to_csv`.
 TRACE_CSV_FIELDS = [
@@ -83,16 +97,17 @@ def percentile_of_sorted(ordered: Sequence[float], q: float) -> Optional[float]:
 
 @dataclass
 class StreamedMetrics:
-    """Exact metric reservoirs for runs that drop their records.
+    """Exact metric reservoirs: the one store every report answers from.
 
-    When ``simulate(..., keep_records=False)`` streams records out instead
-    of keeping them, it feeds each record through :meth:`add` at the
-    moment the record leaves the loop.  The reservoirs hold the same
-    stamped float values the in-memory properties would have derived from
-    the record list — nothing is approximated or binned — so percentiles,
-    attainment and goodput computed from a streamed run match the
-    in-memory run bit for bit; only the per-request trace rows are gone
-    (or, with a ``trace_sink``, on disk).
+    :meth:`fold` is the only code that turns a record into metrics.  A
+    run that drops its records (``keep_records=False``) or judges
+    ``fail_fast`` folds each record into its device's store the moment
+    the record resolves; a :class:`ServingReport` built without a store
+    folds its own ``records`` on the first metric read.  The reservoirs
+    hold the exact stamped floats, nothing approximated or binned, so a
+    streamed run and a kept run report the same aggregates by
+    construction; only the per-request trace rows are gone (or, with a
+    ``trace_sink``, on disk).
     """
 
     #: Attached SLO-met counter; None when the run carried no SLOSpec.
@@ -102,62 +117,25 @@ class StreamedMetrics:
     total_output_tokens: int = 0
     #: The reservoirs are compact C-double arrays: one million samples
     #: cost 8 MB instead of ~32 MB of boxed floats, and ``array('d')``
-    #: stores the exact same IEEE doubles the record properties compute,
-    #: so every percentile still matches the in-memory run bit for bit.
+    #: stores the exact same IEEE doubles the record properties compute.
     ttfts: MutableSequence[float] = field(default_factory=lambda: array("d"))
     tpots: MutableSequence[float] = field(default_factory=lambda: array("d"))
     e2es: MutableSequence[float] = field(default_factory=lambda: array("d"))
     queue_waits: MutableSequence[float] = field(default_factory=lambda: array("d"))
     #: Time-weighted integral of the waiting-queue depth (for the mean)
-    #: and its maximum — the two aggregates the sample list would feed.
+    #: and its maximum (see :class:`_QueueDepthStats`).
     queue_depth_area: float = 0.0
     max_queue_depth: int = 0
 
-    def add(self, record: RequestRecord, slo: Optional[SLOSpec]) -> None:
+    def fold(self, record: RequestRecord, slo: Optional["SLOSpec"]) -> Optional[bool]:
         """Fold one (possibly partially-stamped) record into the reservoirs.
 
-        The stamp conditions mirror the :class:`ServingReport` metric
-        properties exactly, so partially-stamped records from an
-        ``early_exit`` run contribute to precisely the same metrics.
-        """
-        self.add_sample(metric_sample(record, slo))
-
-    def add_sample(
-        self,
-        sample: "Tuple[Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]]",
-    ) -> None:
-        """Fold one precomputed :func:`metric_sample` into the reservoirs.
-
-        The fleet loop derives each record's values once and feeds the
-        same tuple to both the fleet-wide and the per-device reservoirs —
-        half the property arithmetic of calling :meth:`add` twice, with
-        bit-identical results (the sample carries the exact floats the
-        record properties compute).
-        """
-        queue_wait, ttft, tpot, e2e, tokens, met = sample
-        self.num_requests += 1
-        if queue_wait is not None:
-            self.queue_waits.append(queue_wait)
-        if ttft is not None:
-            self.ttfts.append(ttft)
-            if tpot is not None:
-                self.tpots.append(tpot)
-        if e2e is not None:
-            self.e2es.append(e2e)
-            self.num_completed += 1
-            self.total_output_tokens += tokens
-        if met is not None:
-            if self.slo_met is None:
-                self.slo_met = 0
-            if met:
-                self.slo_met += 1
-
-    def fold(self, record: RequestRecord, slo: Optional["SLOSpec"]) -> None:
-        """:meth:`add`, fused: derive and fold in one pass, no sample tuple.
-
-        This is the per-record hot path of metrics-only (no trace sink)
-        streaming runs; the arithmetic is the same expressions as
-        :func:`metric_sample`, so the reservoirs are bit-identical.
+        Each metric counts only the stamps the record actually has, so
+        partially-stamped records from an ``early_exit`` run contribute to
+        exactly the metrics they can.  Returns whether the record met
+        ``slo`` (None without one): a terminal fault ``outcome`` (shed,
+        timed out, failed) is a miss even when the record carries full
+        latency stamps, and so is a record that never finished.
         """
         source = record.source
         arrival = source.arrival_s
@@ -180,30 +158,66 @@ class StreamedMetrics:
             if first is not None:
                 tpot = (finish - first) / request.gen_tokens
                 self.tpots.append(tpot)
-                if slo is not None:
-                    if record.outcome is None and not (
-                        (slo.ttft_s is not None and ttft > slo.ttft_s)
-                        or (slo.tpot_s is not None and tpot > slo.tpot_s)
-                        or (slo.e2e_s is not None and e2e > slo.e2e_s)
-                    ):
-                        met = self.slo_met
-                        self.slo_met = 1 if met is None else met + 1
-                    elif self.slo_met is None:
-                        self.slo_met = 0
-                return
-        if slo is not None and self.slo_met is None:
+                if slo is None:
+                    return None
+                if record.outcome is None and not (
+                    (slo.ttft_s is not None and ttft > slo.ttft_s)
+                    or (slo.tpot_s is not None and tpot > slo.tpot_s)
+                    or (slo.e2e_s is not None and e2e > slo.e2e_s)
+                ):
+                    met = self.slo_met
+                    self.slo_met = 1 if met is None else met + 1
+                    return True
+                if self.slo_met is None:
+                    self.slo_met = 0
+                return False
+        if slo is None:
+            return None
+        if self.slo_met is None:
             self.slo_met = 0
+        return False
+
+    #: The historical name of :meth:`fold`.
+    add = fold
+
+    def add_sample(
+        self,
+        sample: "Tuple[Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]]",
+    ) -> None:
+        """Fold one precomputed ``(queue_wait, ttft, tpot, e2e, tokens,
+        met)`` tuple (``None`` marks a missing stamp or verdict).
+
+        For callers that derive a record's values themselves; the loop
+        and the reports only ever :meth:`fold` records.
+        """
+        queue_wait, ttft, tpot, e2e, tokens, met = sample
+        self.num_requests += 1
+        if queue_wait is not None:
+            self.queue_waits.append(queue_wait)
+        if ttft is not None:
+            self.ttfts.append(ttft)
+            if tpot is not None:
+                self.tpots.append(tpot)
+        if e2e is not None:
+            self.e2es.append(e2e)
+            self.num_completed += 1
+            self.total_output_tokens += tokens
+        if met is not None:
+            if self.slo_met is None:
+                self.slo_met = 0
+            if met:
+                self.slo_met += 1
 
     def merge_from(self, other: "StreamedMetrics") -> None:
         """Fold another reservoir set into this one (counts add, values
         concatenate).
 
-        The fleet loop folds each record once into its device's
-        reservoirs and builds the fleet-wide view by merging at the end —
-        the multiset of values is identical to folding every record
-        twice, so every percentile/attainment/goodput answer is too.
-        Queue-depth aggregates are deliberately not merged: they are
-        per-device quantities (the fleet report never sums them).
+        The loop folds each record once into its device's store and
+        builds the fleet-wide view by merging at the end: the multiset of
+        values is identical to folding every record twice, so every
+        percentile/attainment/goodput answer is too.  Queue-depth
+        aggregates are deliberately not merged: they are per-device
+        quantities (the fleet report never sums them).
         """
         self.num_requests += other.num_requests
         self.num_completed += other.num_completed
@@ -215,51 +229,39 @@ class StreamedMetrics:
         if other.slo_met is not None:
             self.slo_met = (self.slo_met or 0) + other.slo_met
 
+    def set_queue_depth(self, stats: "_QueueDepthStats") -> None:
+        """Adopt one device's queue-depth aggregates."""
+        self.queue_depth_area = stats.area
+        self.max_queue_depth = stats.max_depth
 
-def metric_sample(
-    record: RequestRecord, slo: Optional[SLOSpec]
-) -> Tuple[
-    Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]
-]:
-    """One record's ``(queue_wait, ttft, tpot, e2e, tokens, met)`` values.
 
-    Computes every derived metric the record's properties (and
-    :meth:`SLOSpec.met_by`) would — each exactly once, with the identical
-    float expressions, so folding the sample into a
-    :class:`StreamedMetrics` matches :meth:`StreamedMetrics.add` bit for
-    bit.  ``None`` marks a stamp the record never received; ``met`` is
-    ``None`` when the run carried no SLO.
+class _QueueDepthStats:
+    """Streaming replacement for the (time, depth) sample list.
+
+    Accumulates the two aggregates a report reads from the step function
+    of waiting-queue depth: the time-weighted area (for the mean) and the
+    maximum.  A ``keep_records=False`` run feeds it per planning attempt
+    and so holds O(1) sample state; a report with a sample list feeds it
+    the list.
     """
-    source = record.source
-    arrival = source.arrival_s
-    prefill = record.prefill_start_s
-    first = record.first_token_s
-    finish = record.finish_s
-    queue_wait = None if prefill is None else prefill - arrival
-    ttft = None if first is None else first - arrival
-    tpot = None
-    e2e = None
-    tokens = 0
-    if finish is not None:
-        e2e = finish - arrival
-        request = source.request
-        tokens = request.total_generated_tokens
-        if first is not None:
-            tpot = (finish - first) / request.gen_tokens
-    if slo is None:
-        met: Optional[bool] = None
-    elif record.outcome is not None or first is None or finish is None:
-        # A terminal fault outcome (shed / timed_out / failed) is an SLO
-        # miss even when the record carries full latency stamps — a
-        # timed-out request did finish, but past its deadline.
-        met = False
-    else:
-        met = not (
-            (slo.ttft_s is not None and ttft > slo.ttft_s)
-            or (slo.tpot_s is not None and tpot > slo.tpot_s)
-            or (slo.e2e_s is not None and e2e > slo.e2e_s)
-        )
-    return queue_wait, ttft, tpot, e2e, tokens, met
+
+    __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
+
+    def __init__(self, samples: Sequence[Tuple[float, int]] = ()) -> None:
+        self.area = 0.0
+        self.max_depth = 0
+        self._last_t: Optional[float] = None
+        self._last_depth = 0
+        for now, depth in samples:
+            self.add(now, depth)
+
+    def add(self, now: float, depth: int) -> None:
+        if self._last_t is not None:
+            self.area += self._last_depth * (now - self._last_t)
+        self._last_t = now
+        self._last_depth = depth
+        if depth > self.max_depth:
+            self.max_depth = depth
 
 
 @dataclass(frozen=True)
@@ -281,8 +283,10 @@ class SLOSpec:
             raise ValueError("an SLO needs at least one latency threshold")
         for name in ("ttft_s", "tpot_s", "e2e_s"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when given")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive when given, got {value!r}"
+                )
         if not 0.0 < self.min_attainment <= 1.0:
             raise ValueError("min_attainment must be in (0, 1]")
 
@@ -310,7 +314,13 @@ class SLOSpec:
 
 @dataclass
 class ServingReport:
-    """Everything one simulation run produced."""
+    """Everything one simulation run produced.
+
+    Every aggregate reads the one metric store: the loop's (``streamed``)
+    or, when the run handed none over, one folded from ``records`` and
+    ``queue_depth`` on the first read.  Only the trace and SLO queries
+    other than the run's own need the records themselves.
+    """
 
     backend_name: str
     scheduler_name: str
@@ -329,9 +339,10 @@ class ServingReport:
     #: True when a ``fail_fast`` run aborted early because SLO attainment
     #: could no longer reach the threshold (records are partially stamped).
     early_exit: bool = False
-    #: Metric reservoirs from a ``keep_records=False`` run; when set,
-    #: ``records`` is empty and every metric below reads from here (the
-    #: values are the exact stamps the record list would have carried).
+    #: The run's metric store, folded by the event loop (a
+    #: ``keep_records=False`` or ``fail_fast`` run); None builds it from
+    #: ``records`` and ``queue_depth`` on the first metric read.  Every
+    #: aggregate below reads from this one store.
     streamed: Optional[StreamedMetrics] = None
     #: Snapshot of the flash-backed KV memory counters
     #: (:class:`repro.memory.MemoryReport`); None when the scheduler ran
@@ -354,16 +365,37 @@ class ServingReport:
 
     def __post_init__(self) -> None:
         #: metric name -> sorted values, so repeated percentile queries
-        #: sort each metric once (records are not expected to mutate
-        #: after the report is built).
+        #: sort each metric once.
         self._sorted_metrics: Dict[str, List[float]] = {}
+
+    @cached_property
+    def _metrics(self) -> StreamedMetrics:
+        """The store every aggregate reads, folded from ``records`` and
+        ``queue_depth`` on first use when the run handed none over
+        (records are not expected to mutate after the report is built)."""
+        store = self.streamed
+        if store is None:
+            store = StreamedMetrics(slo_met=0 if self.slo is not None else None)
+            for record in self.records:
+                store.fold(record, self.slo)
+            store.set_queue_depth(_QueueDepthStats(self.queue_depth))
+        return store
+
+    def _kept_records(self) -> List[RequestRecord]:
+        """``records``, for the queries the metric store cannot answer;
+        raises when the run dropped them (``keep_records=False``)."""
+        if len(self.records) < self._metrics.num_requests:
+            raise ValueError(
+                "this report was built with keep_records=False, so it has no "
+                "per-request trace and answers SLO queries only for the run's "
+                "own SLOSpec; pass trace_sink= to stream the trace instead"
+            )
+        return self.records
 
     # -- basic counts --------------------------------------------------------
     @property
     def num_requests(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.num_requests
-        return len(self.records)
+        return self._metrics.num_requests
 
     @property
     def completed_records(self) -> List[RequestRecord]:
@@ -372,70 +404,37 @@ class ServingReport:
 
     @property
     def num_completed(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.num_completed
-        return len(self.completed_records)
+        return self._metrics.num_completed
 
     @property
     def total_output_tokens(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.total_output_tokens
-        return sum(record.output_tokens for record in self.completed_records)
+        return self._metrics.total_output_tokens
 
     # -- latency metrics -----------------------------------------------------
-    # Each list draws only on the lifecycle stamps a record actually has,
-    # so a run where nothing (or not everything) completed still reports:
-    # the percentiles simply cover fewer requests, or are None when empty.
+    # Each list holds only the lifecycle stamps records actually have, so
+    # a run where nothing (or not everything) completed still reports: the
+    # percentiles simply cover fewer requests, or are None when empty.
     @property
     def ttfts(self) -> List[float]:
-        if self.streamed is not None:
-            # The streamed reservoir is a compact double array; hand out
-            # the list the record-keeping path would have produced.
-            return list(self.streamed.ttfts)
-        return [
-            record.ttft_s
-            for record in self.records
-            if record.first_token_s is not None
-        ]
+        return list(self._metrics.ttfts)
 
     @property
     def tpots(self) -> List[float]:
-        if self.streamed is not None:
-            return list(self.streamed.tpots)
-        return [
-            record.tpot_s
-            for record in self.records
-            if record.first_token_s is not None and record.finish_s is not None
-        ]
+        return list(self._metrics.tpots)
 
     @property
     def e2es(self) -> List[float]:
-        if self.streamed is not None:
-            return list(self.streamed.e2es)
-        return [record.e2e_s for record in self.completed_records]
+        return list(self._metrics.e2es)
 
     @property
     def queue_waits(self) -> List[float]:
-        if self.streamed is not None:
-            return list(self.streamed.queue_waits)
-        return [
-            record.queue_wait_s
-            for record in self.records
-            if record.prefill_start_s is not None
-        ]
+        return list(self._metrics.queue_waits)
 
     def _sorted_metric(self, metric: str) -> List[float]:
         """One metric's values, sorted once and cached across queries."""
         values = self._sorted_metrics.get(metric)
         if values is None:
-            values = sorted(
-                {
-                    "ttft": self.ttfts,
-                    "tpot": self.tpots,
-                    "e2e": self.e2es,
-                    "queue_wait": self.queue_waits,
-                }[metric]
-            )
+            values = sorted(getattr(self._metrics, _METRIC_RESERVOIRS[metric]))
             self._sorted_metrics[metric] = values
         return values
 
@@ -469,23 +468,14 @@ class ServingReport:
 
     @property
     def max_queue_depth(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.max_queue_depth
-        return max((depth for _, depth in self.queue_depth), default=0)
+        return self._metrics.max_queue_depth
 
     @property
     def mean_queue_depth(self) -> float:
         """Time-weighted mean waiting-queue depth over the makespan."""
-        if self.streamed is not None:
-            if self.makespan_s <= 0:
-                return 0.0
-            return self.streamed.queue_depth_area / self.makespan_s
-        if self.makespan_s <= 0 or len(self.queue_depth) < 2:
-            return float(self.queue_depth[0][1]) if self.queue_depth else 0.0
-        area = 0.0
-        for (t0, depth), (t1, _) in zip(self.queue_depth, self.queue_depth[1:]):
-            area += depth * (t1 - t0)
-        return area / self.makespan_s
+        if self.makespan_s <= 0:
+            return 0.0
+        return self._metrics.queue_depth_area / self.makespan_s
 
     # -- SLO -----------------------------------------------------------------
     def _slo(self, slo: Optional[SLOSpec]) -> SLOSpec:
@@ -495,15 +485,11 @@ class ServingReport:
         return spec
 
     def _met_count(self, spec: SLOSpec) -> int:
-        """Requests meeting ``spec`` — from records, or the streamed counter."""
-        if self.streamed is not None:
-            if spec != self.slo or self.streamed.slo_met is None:
-                raise ValueError(
-                    "this report streamed its records away; SLO counts exist "
-                    "only for the SLOSpec the simulation ran with"
-                )
-            return self.streamed.slo_met
-        return sum(1 for record in self.records if spec.met_by(record))
+        """Requests meeting ``spec``: the store's counter for the run's own
+        SLO, a count over the kept records for any other."""
+        if spec == self.slo:
+            return self._metrics.slo_met
+        return sum(1 for record in self._kept_records() if spec.met_by(record))
 
     def slo_attainment(self, slo: Optional[SLOSpec] = None) -> float:
         """Fraction of requests individually meeting the SLO."""
@@ -533,9 +519,6 @@ class ServingReport:
     # -- export --------------------------------------------------------------
     def summary_rows(self) -> Tuple[List[str], List[List[object]]]:
         """(headers, rows) for :func:`repro.reporting.print_table`."""
-        ttft = self.percentiles("ttft")
-        tpot = self.percentiles("tpot")
-        e2e = self.percentiles("e2e")
         rows: List[List[object]] = [
             ["backend", self.backend_name],
             ["scheduler", self.scheduler_name],
@@ -544,11 +527,27 @@ class ServingReport:
             ["throughput (req/s)", self.throughput_rps],
             ["throughput (token/s)", self.tokens_per_second],
             ["device utilization (%)", 100.0 * self.utilization],
-            ["TTFT p50/p95/p99 (s)", percentile_triplet(ttft)],
-            ["TPOT p50/p95/p99 (ms)", percentile_triplet(tpot, scale=1e3)],
-            ["e2e p50/p95/p99 (s)", percentile_triplet(e2e)],
+            *self._latency_rows(),
             ["queue depth mean/max", f"{self.mean_queue_depth:.2f}/{self.max_queue_depth}"],
+            *self._detail_rows(),
         ]
+        return ["metric", "value"], rows
+
+    def _latency_rows(self) -> List[List[object]]:
+        """The TTFT/TPOT/e2e percentile rows of a summary table."""
+        return [
+            ["TTFT p50/p95/p99 (s)", percentile_triplet(self.percentiles("ttft"))],
+            [
+                "TPOT p50/p95/p99 (ms)",
+                percentile_triplet(self.percentiles("tpot"), scale=1e3),
+            ],
+            ["e2e p50/p95/p99 (s)", percentile_triplet(self.percentiles("e2e"))],
+        ]
+
+    def _detail_rows(self) -> List[List[object]]:
+        """The optional rows of a summary table: event heap, memory,
+        faults, SLO verdicts and alerts, each only when present."""
+        rows: List[List[object]] = []
         if self.event_queue is not None:
             heap = self.event_queue
             rows.append(
@@ -576,7 +575,7 @@ class ServingReport:
                     f"{len(self.alerts.fires())}/{len(self.alerts.resolves())}",
                 ]
             )
-        return ["metric", "value"], rows
+        return rows
 
     def to_markdown(self) -> str:
         """The summary table as GitHub-flavoured markdown."""
@@ -587,21 +586,26 @@ class ServingReport:
 
     def to_csv(self, path: Optional[str] = None) -> str:
         """The per-request trace as CSV; byte-identical under a fixed seed."""
-        if self.streamed is not None:
-            raise ValueError(
-                "this report streamed its records away (keep_records=False); "
-                "the per-request trace was written to the run's trace_sink"
-            )
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(TRACE_CSV_FIELDS)
-        for record in self.records:
-            writer.writerow(trace_values(record, self.slo))
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as handle:
-                handle.write(text)
-        return text
+        rows = (
+            trace_values(record, self.slo)
+            for record in self._kept_records()
+        )
+        return write_trace_csv(TRACE_CSV_FIELDS, rows, path)
+
+
+def write_trace_csv(
+    header: Sequence[str], rows: Iterable[List[object]], path: Optional[str]
+) -> str:
+    """Render trace rows as CSV text (and write it to ``path`` if given)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if path is not None:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    return text
 
 
 def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
@@ -633,11 +637,6 @@ def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
         "" if record.finish_s is None else record.e2e_s,
         "" if slo is None else slo.met_by(record),
     ]
-
-
-def trace_row(record: RequestRecord, slo: Optional[SLOSpec]) -> Dict[str, object]:
-    """:func:`trace_values` keyed by :data:`TRACE_CSV_FIELDS` (dict form)."""
-    return dict(zip(TRACE_CSV_FIELDS, trace_values(record, slo)))
 
 
 def _blank_if_none(value: Optional[float]) -> object:

@@ -10,10 +10,11 @@ backend's analytical latencies; nothing here reads the wall clock, so a
 run is a pure function of ``(requests, scheduler, backend)`` and is
 exactly reproducible.  The event definition and the total order of
 simultaneous events behind the byte-identical-trace guarantee are
-documented in :mod:`repro.serving.events`; ``trace_sink`` /
-``keep_records=False`` stream each request's trace row out as soon as it
-is fully stamped while exact metric reservoirs accumulate, so a
-million-request run holds O(in-flight batch) record state.
+documented in :mod:`repro.serving.events`; ``trace_sink`` streams each
+request's trace row out as soon as it is fully stamped, and
+``keep_records=False`` drops each record once the loop has folded it
+into the run's metric store, so a million-request run holds O(in-flight
+batch) record state.
 
 The :class:`BackendCostModel` turns any registered
 :class:`repro.api.backend.Backend` into the device model: it profiles
@@ -276,16 +277,17 @@ def simulate(
     Streaming output: ``trace_sink`` (a path or a file-like object)
     receives each request's trace-CSV row the moment the request is fully
     stamped — byte-identical to :meth:`ServingReport.to_csv`, rows in
-    arrival order.  ``keep_records=False`` additionally drops each record
-    after streaming it, so a million-request run holds O(in-flight batch)
-    record state: the report then carries empty ``records`` but exact
-    :class:`repro.serving.metrics.StreamedMetrics` reservoirs, and every
-    aggregate metric (percentiles, attainment, goodput, queue depth)
-    matches the in-memory run bit for bit.  With ``keep_records=False`` a
-    non-list ``requests`` iterable is consumed lazily (it must already be
-    sorted), so even the arrival stream never materializes; lazy streams
-    cannot be combined with ``fail_fast`` (its attainment arithmetic
-    needs the total request count up front).
+    arrival order.  ``keep_records=False`` drops each record once the loop
+    has folded it into the run's
+    :class:`repro.serving.metrics.StreamedMetrics` store (sink or not), so
+    a million-request run holds O(in-flight batch) record state: the
+    report then carries empty ``records`` and answers every aggregate
+    (percentiles, attainment, goodput, queue depth) from that store, the
+    same one a kept report folds from its records.  With
+    ``keep_records=False`` a non-list ``requests`` iterable is consumed
+    lazily (it must already be sorted), so even the arrival stream never
+    materializes; lazy streams cannot be combined with ``fail_fast`` (its
+    attainment arithmetic needs the total request count up front).
 
     Observability: ``recorder`` (a :class:`repro.obs.Recorder`) receives
     sim-time spans and instants — one span per device occupancy, one

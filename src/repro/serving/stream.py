@@ -10,6 +10,12 @@ moment the record is fully stamped, optionally dropping the record
 afterwards (``keep_records=False``), leaving only O(in-flight batch)
 record state alive.
 
+Streaming only writes rows; the aggregates never go through here.
+Whether or not a sink is attached, the event loop folds each record into
+its device's :class:`repro.serving.metrics.StreamedMetrics` store at the
+moment it resolves, so a dropped-record run reports from the same store
+a kept run's report folds from its record list.
+
 Byte-identity is the contract: the sink receives exactly the bytes
 ``to_csv()`` would have produced.  Since requests *finish* out of arrival
 order under continuous batching while the trace is written in arrival
@@ -33,9 +39,6 @@ from repro.serving.request import RequestRecord
 #: object (anything with ``write``) or a filesystem path to create.
 TraceSink = Union[str, "os.PathLike[str]", IO[str]]
 
-#: Called once per record as it leaves the stream, with its arrival index.
-RecordObserver = Callable[[RequestRecord, int], None]
-
 
 def open_trace_sink(sink: TraceSink) -> Tuple[IO[str], bool]:
     """Resolve ``sink`` to ``(handle, owns_handle)``.
@@ -49,34 +52,29 @@ def open_trace_sink(sink: TraceSink) -> Tuple[IO[str], bool]:
 
 
 class TraceStreamer:
-    """Order-preserving record emitter of the event loop.
+    """Order-preserving trace writer of the event loop.
 
     ``register`` is called once per record in arrival order (assigning the
     record its trace-row index); ``finish`` when the record's last stamp
-    lands.  Rows are emitted — to the CSV sink and to every observer — in
-    registration order, each as soon as all its predecessors have
-    finished.  ``close`` drains whatever never finished (partially-stamped
-    rows from an ``early_exit`` run) plus an optional tail of records that
-    never even entered the loop, so the emitted trace covers exactly the
-    rows the in-memory report would have rendered.
+    lands.  Rows are written to the CSV sink in registration order, each
+    as soon as all its predecessors have finished.  ``close`` drains
+    whatever never finished (partially-stamped rows from an
+    ``early_exit`` run) plus an optional tail of records that never even
+    entered the loop, so the written trace covers exactly the rows the
+    in-memory report would have rendered.
     """
 
     def __init__(
         self,
-        sink: Optional[TraceSink],
+        sink: TraceSink,
         header: Sequence[str],
         row_of: Callable[[RequestRecord, int], List[object]],
-        observers: Sequence[RecordObserver] = (),
     ) -> None:
         self._row_of = row_of
-        self._observers = tuple(observers)
-        self._handle: Optional[IO[str]] = None
-        self._owns_handle = False
-        self._writer = None
-        if sink is not None:
-            self._handle, self._owns_handle = open_trace_sink(sink)
-            self._writer = csv.writer(self._handle, lineterminator="\n")
-            self._writer.writerow(header)
+        handle, self._owns_handle = open_trace_sink(sink)
+        self._handle: Optional[IO[str]] = handle
+        self._writer = csv.writer(handle, lineterminator="\n")
+        self._writer.writerow(header)
         #: arrival index -> registered-but-unflushed record.
         self._buffer: Dict[int, RequestRecord] = {}
         #: id(record) -> arrival index, for live (buffered) records only.
@@ -111,14 +109,8 @@ class TraceStreamer:
     def _flush(self, index: int) -> None:
         record = self._buffer.pop(index)
         del self._index_of[id(record)]
-        self._emit(record, index)
+        self._writer.writerow(self._row_of(record, index))
         self._next = index + 1
-
-    def _emit(self, record: RequestRecord, index: int) -> None:
-        if self._writer is not None:
-            self._writer.writerow(self._row_of(record, index))
-        for observer in self._observers:
-            observer(record, index)
 
     # -- teardown ------------------------------------------------------------
     def close(self, tail: Sequence[RequestRecord] = ()) -> None:
@@ -132,9 +124,8 @@ class TraceStreamer:
             self._flush(index)
         self._finished.clear()
         for record in tail:
-            index = self._count
+            self._writer.writerow(self._row_of(record, self._count))
             self._count += 1
-            self._emit(record, index)
         self.release()
 
     def release(self) -> None:
@@ -142,7 +133,6 @@ class TraceStreamer:
         if self._owns_handle and self._handle is not None:
             self._handle.close()
             self._handle = None
-            self._writer = None
 
 
 class DigestSink(io.TextIOBase):

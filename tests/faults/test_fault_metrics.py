@@ -19,7 +19,7 @@ from repro.serving import (
     SLOSpec,
     simulate,
 )
-from repro.serving.metrics import metric_sample
+from repro.serving.metrics import StreamedMetrics
 from repro.serving.request import RequestRecord, ServingRequest
 
 PAYLOAD = InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=24)
@@ -41,7 +41,7 @@ def _arrivals(n=60, rate=30.0):
     return PoissonWorkload(rate, PAYLOAD, seed=5).generate(n)
 
 
-# -- unit: met_by / metric_sample ---------------------------------------------
+# -- unit: met_by / StreamedMetrics.fold ---------------------------------------
 
 @pytest.mark.parametrize("outcome", ["shed", "timed_out", "failed"])
 def test_met_by_rejects_every_terminal_outcome(outcome):
@@ -51,15 +51,16 @@ def test_met_by_rejects_every_terminal_outcome(outcome):
 
 @pytest.mark.parametrize("outcome", ["shed", "timed_out", "failed"])
 def test_metric_sample_marks_outcomes_unmet_despite_fast_stamps(outcome):
-    *_, met = metric_sample(_record(outcome=outcome), LOOSE)
-    assert met is False
-    *_, met = metric_sample(_record(outcome=None), LOOSE)
-    assert met is True
+    store = StreamedMetrics()
+    assert store.fold(_record(outcome=outcome), LOOSE) is False
+    assert store.fold(_record(outcome=None), LOOSE) is True
+    assert store.slo_met == 1
 
 
 def test_metric_sample_without_slo_reports_no_verdict():
-    *_, met = metric_sample(_record(outcome="failed"), None)
-    assert met is None
+    store = StreamedMetrics()
+    assert store.fold(_record(outcome="failed"), None) is None
+    assert store.slo_met is None
 
 
 # -- integration: attainment and goodput --------------------------------------
