@@ -171,7 +171,7 @@ from repro.obs import (
     serving_snapshot,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "__version__",

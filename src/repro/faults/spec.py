@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Tuple
@@ -119,31 +120,32 @@ class FaultSpec:
         object.__setattr__(
             self, "slow_windows", tuple(tuple(w) for w in self.slow_windows)
         )
-        if self.crash_mtbf_s is not None and self.crash_mtbf_s <= 0:
-            raise ValueError(f"crash_mtbf_s must be positive, got {self.crash_mtbf_s}")
-        if self.slow_mtbf_s is not None and self.slow_mtbf_s <= 0:
-            raise ValueError(f"slow_mtbf_s must be positive, got {self.slow_mtbf_s}")
-        if self.crash_mttr_s <= 0:
-            raise ValueError(f"crash_mttr_s must be positive, got {self.crash_mttr_s}")
-        if self.slow_duration_s <= 0:
-            raise ValueError(
-                f"slow_duration_s must be positive, got {self.slow_duration_s}"
-            )
-        if self.slow_factor <= 0:
-            raise ValueError(f"slow_factor must be positive, got {self.slow_factor}")
+        # Rates and durations feed exponential draws and multipliers: NaN
+        # or infinity would silently disable or poison the schedule.
+        for name in (
+            "crash_mtbf_s", "crash_mttr_s", "slow_mtbf_s", "slow_duration_s", "slow_factor"
+        ):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0.0 <= self.flaky_prob <= 1.0:
             raise ValueError(f"flaky_prob must be in [0, 1], got {self.flaky_prob}")
         for window in self.crash_windows:
             if len(window) != 3:
                 raise ValueError(f"crash window must be (device, start, duration): {window}")
-            if window[1] < 0 or window[2] <= 0:
+            if not (math.isfinite(window[1]) and window[1] >= 0 and window[2] > 0):
                 raise ValueError(f"bad crash window {window}")
         for window in self.slow_windows:
             if len(window) not in (3, 4):
                 raise ValueError(
                     f"slow window must be (device, start, duration[, factor]): {window}"
                 )
-            if window[1] < 0 or window[2] <= 0:
+            if not (
+                math.isfinite(window[1])
+                and window[1] >= 0
+                and window[2] > 0
+                and all(math.isfinite(factor) and factor > 0 for factor in window[3:])
+            ):
                 raise ValueError(f"bad slow window {window}")
 
     @property
@@ -293,14 +295,19 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.multiplier <= 0:
-            raise ValueError(f"multiplier must be positive, got {self.multiplier}")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            raise ValueError(
+                f"backoff_s must be finite and >= 0, got {self.backoff_s!r}"
+            )
+        if not (math.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValueError(
+                f"multiplier must be finite and positive, got {self.multiplier!r}"
+            )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
-            raise ValueError(f"hedge_after_s must be positive, got {self.hedge_after_s}")
+        hedge = self.hedge_after_s
+        if hedge is not None and not (math.isfinite(hedge) and hedge > 0):
+            raise ValueError(f"hedge_after_s must be finite and positive, got {hedge!r}")
 
     def delay_s(self, attempt: int, request_id: int) -> float:
         """Backoff before attempt ``attempt + 1`` (``attempt`` just failed)."""

@@ -306,12 +306,10 @@ class MemoryHeadroomRouter(Router):
 
     Residency is read as-of the latest *planned* decode step.  A
     coalesced occupancy books its whole window's KV growth at planning
-    time, so an arrival landing mid-window can see residency the
-    step-by-step reference has not booked yet: decisions are
-    deterministic per run, but byte-identity between ``max_steps=None``
-    and ``max_steps=1`` fleets is only guaranteed for this policy when
-    no replica carries a memory model (the tested battery) — pass
-    ``max_steps=1`` when comparing memory-model traces across runs.
+    time, so a memory-model replica stops every decode window at the
+    first step boundary reaching the next arrival: an arrival then reads
+    exactly the residency the step-by-step reference has booked, and
+    coalesced and ``max_steps=1`` fleets route identically.
     """
 
     name = "headroom"

@@ -74,7 +74,9 @@ class MemoryReport:
 class KVMemoryModel:
     """Stateful composition the continuous scheduler plans against."""
 
-    #: Cap on the per-request footprint memo (mirrors the scheduler memos).
+    #: Cap on the per-request footprint memo; a workload that builds a fresh
+    #: payload object per request overflows it, and the memo then resets
+    #: wholesale (entries are pure functions of the payload).
     MEMO_SIZE = 4096
 
     #: Observability hook (:class:`repro.obs.Recorder`): set by the event

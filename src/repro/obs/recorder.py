@@ -279,12 +279,17 @@ def record_request_phases(
     run) contributes only the phases it actually entered, mirroring how
     the trace CSV leaves its cells blank.  Records that expose their
     payload (``record.request``) also stamp ``gen_tokens`` into the span
-    args, which lets the timeline derive per-token decode latencies.
+    args, which lets the timeline derive per-token decode latencies, and
+    a terminal ``outcome`` (e.g. ``timed_out``) is stamped too, so the
+    timeline's SLO verdict matches the report's.
     """
     args = {"request_id": record.request_id}
     source = getattr(record, "request", None)
     if source is not None:
         args["gen_tokens"] = source.gen_tokens
+    outcome = getattr(record, "outcome", None)
+    if outcome is not None:
+        args["outcome"] = outcome
     if extra:
         args.update(extra)
     arrival = record.arrival_s

@@ -140,10 +140,11 @@ class TimelineCollector(Recorder):
     :meth:`finalize`) the windows are frozen and :meth:`to_rows`,
     :meth:`to_csv` and :meth:`to_registry` answer from them.
 
-    ``slo`` enables the goodput/``slo_met`` columns (judged per
-    completion from its TTFT/TPOT/e2e, the same thresholds
-    ``SLOSpec.met_by`` applies).  ``rules`` is a sequence of
-    :class:`~repro.obs.alerts.AlertRule` evaluated at finalize.
+    ``slo`` enables the goodput/``slo_met`` columns (each completion is
+    judged by ``SLOSpec.meets`` from its TTFT/TPOT/e2e and terminal
+    outcome, the verdict ``SLOSpec.met_by`` gives the report).
+    ``rules`` is a sequence of :class:`~repro.obs.alerts.AlertRule`
+    evaluated at finalize.
     ``num_devices`` overrides the utilization denominator (it defaults
     to the number of distinct occupancy tracks seen, so a fleet device
     that never worked would otherwise not be counted).
@@ -223,18 +224,12 @@ class TimelineCollector(Recorder):
                     tpot = (end_s - start_s) / gen_tokens
                     window.tpots.append(tpot)
                 slo = self.slo
-                if slo is not None and e2e is not None:
-                    met = not (
-                        (slo.ttft_s is not None and ttft > slo.ttft_s)
-                        or (
-                            slo.tpot_s is not None
-                            and tpot is not None
-                            and tpot > slo.tpot_s
-                        )
-                        or (slo.e2e_s is not None and e2e > slo.e2e_s)
-                    )
-                    if met:
-                        window.slo_met += 1
+                if (
+                    slo is not None
+                    and e2e is not None
+                    and slo.meets(ttft, tpot, e2e, args.get("outcome"))
+                ):
+                    window.slo_met += 1
             # PREFILL phase spans carry no window metric of their own
             # (critical-path attribution reads them from a SpanRecorder).
             return

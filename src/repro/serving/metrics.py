@@ -294,20 +294,42 @@ class SLOSpec:
         """Whether one completed request satisfies every threshold.
 
         A request that never produced its first token or never finished
-        cannot have met a latency objective, whatever the thresholds —
-        and neither can one a fault-injected run marked with a terminal
-        ``outcome`` (shed, timed out, or permanently failed), however
-        fast its surviving stamps look.
+        cannot have met a latency objective, whatever the thresholds;
+        the stamps it does have are judged by :meth:`meets`.
         """
-        if record.outcome is not None:
+        first = record.first_token_s
+        finish = record.finish_s
+        if first is None or finish is None:
             return False
-        if record.first_token_s is None or record.finish_s is None:
+        arrival = record.arrival_s
+        return self.meets(
+            first - arrival,
+            (finish - first) / record.request.gen_tokens,
+            finish - arrival,
+            record.outcome,
+        )
+
+    def meets(
+        self,
+        ttft: float,
+        tpot: Optional[float],
+        e2e: float,
+        outcome: Optional[str] = None,
+    ) -> bool:
+        """The per-request verdict on one finished request's latencies.
+
+        A request a fault-injected run marked with a terminal ``outcome``
+        (shed, timed out, or permanently failed) is a miss, however fast
+        its surviving stamps look.  A ``tpot`` of None (no known token
+        count) skips the per-token threshold.
+        """
+        if outcome is not None:
             return False
-        if self.ttft_s is not None and record.ttft_s > self.ttft_s:
+        if self.ttft_s is not None and ttft > self.ttft_s:
             return False
-        if self.tpot_s is not None and record.tpot_s > self.tpot_s:
+        if self.tpot_s is not None and tpot is not None and tpot > self.tpot_s:
             return False
-        if self.e2e_s is not None and record.e2e_s > self.e2e_s:
+        if self.e2e_s is not None and e2e > self.e2e_s:
             return False
         return True
 

@@ -1,11 +1,11 @@
 """Pluggable serving schedulers: how waiting requests get device time.
 
-A scheduler owns the waiting queue and, when the simulator's event loop
-asks, plans the next *occupancy* — one non-preemptive stretch of device
-time (a whole job, a batched job, one prefill, or one decode step).  The
-event loop in :mod:`repro.serving.simulator` advances the clock by the
-occupancy's duration and stamps the finish time on every record the
-occupancy completes.
+A scheduler owns the waiting queue and, when the event loop asks, plans
+the next *occupancy* — one non-preemptive stretch of device time (a whole
+job, a batched job, one prefill, or one decode step).  The event loop in
+:mod:`repro.faults.engine` (behind ``simulate`` and ``simulate_fleet``)
+advances the clock by the occupancy's duration and stamps the finish
+time on every record the occupancy completes.
 
 Three policies are built in:
 
@@ -23,7 +23,8 @@ Three policies are built in:
 Costing uses the backend's per-phase latencies through the
 :class:`repro.serving.simulator.BackendCostModel`: ``time_to_first_token_s``
 prices a prefill occupancy and ``decode_step_seconds`` prices one decode
-step at the current batch width.
+step at the current batch width.  Every latency comes straight from the
+cost model, whose own tables memoize it.
 
 Fast-forward coalescing
 -----------------------
@@ -55,9 +56,12 @@ back through the channels every step.  Freed DRAM pulls spilled bytes
 home as explicit ``refill`` occupancies.  Every spill/refill is a new
 interesting boundary: coalescing is additionally capped at the step
 where DRAM would fill (regime A), and a spilling batch plans strictly
-one step per occupancy (regime B), so coalesced and ``max_steps=1``
-runs stay byte-identical with the model enabled too.  ``memory=None``
-(the default) leaves the slot-count path untouched.
+one step per occupancy (regime B).  A window also stops at the arrival
+horizon even when the batch is full, because routers read the booked
+KV residency as DRAM headroom.  So coalesced and ``max_steps=1`` runs
+stay byte-identical with the model enabled too.  Admission and release
+are the same two steps with or without a model; ``memory=None`` (the
+default) only skips the byte ledgers.
 
 Faults
 ------
@@ -75,9 +79,9 @@ the attribute is None (so plain runs pay a single identity check):
   the loop-side bookkeeping.
 * **Slowdown pricing** — prefill and decode-step latencies are
   multiplied by ``gate.slow_factor`` while a slowdown window is open.
-  The multiplier applies at planning time: a non-preemptive occupancy
-  planned before the window opened runs at its planned speed, and
-  memo entries always cache the unscaled latency.
+  The multiplier applies at planning time to the cost model's unscaled
+  latency: a non-preemptive occupancy planned before the window opened
+  runs at its planned speed.
 * **Fault boundaries cap coalescing** — a fault transition is a new
   *interesting boundary*: a coalesced decode window never extends a step
   past ``gate.boundary_s`` (the device's next scheduled fault), so the
@@ -364,15 +368,18 @@ class StaticBatchScheduler(Scheduler):
 
 
 class ContinuousBatchScheduler(Scheduler):
-    """Step-level batching with prefill admission between decode steps."""
+    """Step-level batching with prefill admission between decode steps.
+
+    Every occupancy runs through two shared steps, with or without a
+    memory model: :meth:`_admit` takes the head-of-line request into the
+    batch, and :meth:`_retire` advances the batch by a decode window and
+    releases the members it finished.  The memory model only adds its own
+    parts on top: the KV-fit verdict inside :meth:`_admit`, the regime
+    A/B window sizing of :meth:`_memory_steps` and the
+    :meth:`_plan_refill` occupancy.
+    """
 
     name = "continuous"
-
-    #: Cap on the per-scheduler payload-identity memos below; when a
-    #: generator-style workload overflows it (fresh payload objects per
-    #: request), the memo is wholesale reset — correctness is untouched
-    #: because entries only mirror the cost model's deterministic answers.
-    MEMO_SIZE = 4096
 
     def __init__(self, max_batch: int = 8, memory=None):
         if max_batch < 1:
@@ -388,11 +395,11 @@ class ContinuousBatchScheduler(Scheduler):
             if isinstance(memory, MemorySpec):
                 memory = KVMemoryModel(memory)
         self.memory = memory
-        #: Active sequences as [record, remaining decode steps, payload]
-        #: triples (the payload is cached so the per-step pass skips the
-        #: record -> source -> request attribute chain).  With a memory
-        #: model, entries carry three more slots: [resident DRAM bytes,
-        #: spilled flash bytes, KV growth bytes per step].
+        #: Active sequences as [record, remaining decode steps, payload,
+        #: resident DRAM bytes, spilled flash bytes, KV growth bytes per
+        #: step] (the payload is cached so the per-step pass skips the
+        #: record -> source -> request attribute chain; the three byte
+        #: slots stay 0 without a memory model).
         self._active: List[List] = []
         #: Batch-membership aggregates maintained incrementally on
         #: admission/release, so the per-step path never recomputes them:
@@ -400,16 +407,6 @@ class ContinuousBatchScheduler(Scheduler):
         #: stored payload reference pins the id while counted).
         self._lanes = 0
         self._payloads: dict = {}
-        #: id(payload) -> (payload, ttft) and (id(payload), lanes) ->
-        #: (payload, step): one dict hit instead of the cost model's
-        #: lookup chain on the per-admission/per-step hot path.  The
-        #: stored payload reference pins the id (no stale-id reuse) and
-        #: is identity-checked on every hit.
-        self._ttft_memo: dict = {}
-        self._step_memo: dict = {}
-        #: The cost model the memos mirror; a scheduler reused with a
-        #: different model (allowed once it has drained) drops them.
-        self._memo_cost = None
 
     @property
     def pending(self) -> int:
@@ -427,10 +424,6 @@ class ContinuousBatchScheduler(Scheduler):
         horizon: Optional[float] = None,
         max_steps: Optional[int] = None,
     ) -> Optional[Occupancy]:
-        if cost is not self._memo_cost:
-            self._ttft_memo.clear()
-            self._step_memo.clear()
-            self._memo_cost = cost
         gate = self.faults
         if gate is not None and self._waiting:
             self._shed_expired(now)
@@ -443,52 +436,13 @@ class ContinuousBatchScheduler(Scheduler):
             # — the model's ledgers never read it).
             memory.now_s = now
         # Admission first: fill free batch slots with waiting prefills so
-        # new requests reach their first token as early as possible.
+        # new requests reach their first token as early as possible.  A
+        # head-of-line request waiting on DRAM/flash space falls through
+        # so in-flight decodes can free some.
         if self._waiting and len(self._active) < self.max_batch:
-            if memory is None:
-                record = self._waiting.popleft()
-                request = record.source.request
-                memo = self._ttft_memo
-                hit = memo.get(id(request))
-                if hit is not None and hit[0] is request:
-                    ttft = hit[1]
-                else:
-                    ttft = cost.ttft(request)
-                    if len(memo) >= self.MEMO_SIZE:
-                        memo.clear()
-                    memo[id(request)] = (request, ttft)
-                if gate is not None and gate.slow_factor != 1.0:
-                    # Memo entries cache the unscaled latency; the window
-                    # multiplier applies per planning call.
-                    ttft *= gate.slow_factor
-                record.prefill_start_s = now
-                record.first_token_s = now + ttft
-                self._active.append([record, request.gen_tokens, request])
-                self._lanes += request.batch_size
-                ident = id(request)
-                payloads = self._payloads
-                counted = payloads.get(ident)
-                if counted is None:
-                    payloads[ident] = [request, 1]
-                else:
-                    counted[1] += 1
-                if rec is not None:
-                    rec.instant(
-                        self.track,
-                        "admit",
-                        now,
-                        {
-                            "request_id": record.request_id,
-                            "verdict": "slot",
-                            "batch": len(self._active),
-                        },
-                    )
-                return Occupancy(PREFILL, ttft)
-            occupancy = self._admit_with_memory(now, cost)
+            occupancy = self._admit(now, cost)
             if occupancy is not None:
                 return occupancy
-            # Otherwise the head-of-line request is waiting on DRAM/flash
-            # space; fall through so in-flight decodes can free some.
         active = self._active
         if not active:
             return None
@@ -511,23 +465,10 @@ class ContinuousBatchScheduler(Scheduler):
             remaining = entry[1]
             if limit is None or remaining < limit:
                 limit = remaining
-        payloads = self._payloads
-        if len(payloads) == 1:
-            request = active[0][2]
-            memo = self._step_memo
-            hit = memo.get((id(request), lanes))
-            if hit is not None and hit[0] is request:
-                step = hit[1]
-            else:
-                step = cost.decode_step(request, batch_size=lanes)
-                if len(memo) >= self.MEMO_SIZE:
-                    memo.clear()
-                memo[(id(request), lanes)] = (request, step)
-        else:
-            step = max(
-                cost.decode_step(request, batch_size=lanes)
-                for request, _ in payloads.values()
-            )
+        step = max(
+            cost.decode_step(request, batch_size=lanes)
+            for request, _ in self._payloads.values()
+        )
         if gate is not None and gate.slow_factor != 1.0:
             step *= gate.slow_factor
         # Fast-forward: the batch composition is frozen until the next
@@ -537,12 +478,18 @@ class ContinuousBatchScheduler(Scheduler):
         boundary = gate.boundary_s if gate is not None else None
         # With a free slot, a future arrival is admissible at any step
         # boundary, so the window stops at the first boundary reaching the
-        # horizon (with a full batch, arrivals can only queue).  Under a
-        # deadline it also stops at the first boundary reaching the earliest
-        # instant a queued or still-arriving request could be shed, so the
-        # queue a router reads drops it where the step-by-step loop does.
+        # horizon.  With a full batch, arrivals can only queue — unless a
+        # memory model books KV growth, which routers read as DRAM
+        # headroom: a window booked past the horizon would show an arrival
+        # growth the step-by-step loop has not booked yet.  Under a
+        # deadline the window also stops at the first boundary reaching
+        # the earliest instant a queued or still-arriving request could be
+        # shed, so the queue a router reads drops it where the step-by-step
+        # loop does.
         cap = math.inf
-        if horizon is not None and len(active) < self.max_batch:
+        if horizon is not None and (
+            len(active) < self.max_batch or memory is not None
+        ):
             cap = horizon
         if gate is not None and gate.deadline_s is not None:
             first = horizon
@@ -551,23 +498,15 @@ class ContinuousBatchScheduler(Scheduler):
                     first = record.arrival_s
             if first is not None and first + gate.deadline_s < cap:
                 cap = first + gate.deadline_s
-        if memory is not None:
-            return self._decode_with_memory(now, step, limit, cap, max_steps, boundary)
-        steps, end = _window(now, step, limit, cap, boundary)
-        finished = []
-        for entry in active:
-            entry[1] -= steps
-            if entry[1] == 0:
-                finished.append(entry)
-        for entry in finished:
-            active.remove(entry)
-            request = entry[2]
-            self._lanes -= request.batch_size
-            counted = payloads[id(request)]
-            if counted[1] == 1:
-                del payloads[id(request)]
-            else:
-                counted[1] -= 1
+        if memory is None:
+            steps, end = _window(now, step, limit, cap, boundary)
+            seconds = step if steps == 1 else end - now
+            reason = None
+        else:
+            steps, end, seconds, reason = self._memory_steps(
+                now, step, limit, cap, boundary
+            )
+        finished = self._retire(steps)
         if rec is not None:
             rec.instant(
                 self.track,
@@ -575,14 +514,20 @@ class ContinuousBatchScheduler(Scheduler):
                 now,
                 {
                     "steps": steps,
-                    "reason": _cap_reason(steps, limit, max_steps),
+                    "reason": reason or _cap_reason(steps, limit, max_steps),
                     "batch": len(active) + len(finished),
                     "completed": len(finished),
                 },
             )
+            if memory is not None:
+                # The DRAM level after this step's growth and the finished
+                # members' releases — the timeline's KV-occupancy series.
+                rec.instant(
+                    memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
+                )
         return Occupancy(
             DECODE,
-            step if steps == 1 else end - now,
+            seconds,
             [entry[0] for entry in finished],
             steps=steps,
             end_s=end,
@@ -594,91 +539,86 @@ class ContinuousBatchScheduler(Scheduler):
         Active members release their KV residency (DRAM and spilled flash
         bytes) before the queue drains — the computed KV is lost with the
         device, and a re-queued request pays a fresh re-prefill (and
-        re-spill) through :meth:`_admit_with_memory` wherever it lands
-        next.
+        re-spill) through :meth:`_admit` wherever it lands next.
         """
         active = self._active
         evicted = [entry[0] for entry in active]
         memory = self.memory
-        if memory is not None:
-            pool = memory.pool
-            for entry in active:
-                if entry[3]:
-                    pool.release(entry[3])
-                if entry[4]:
-                    memory.discard(entry[4])
+        for entry in active:
+            if entry[3]:
+                memory.pool.release(entry[3])
+            if entry[4]:
+                memory.discard(entry[4])
         active.clear()
         self._lanes = 0
         self._payloads.clear()
         return evicted + super().evict_all()
 
-    # -- the memory-model path ------------------------------------------------
-    def _admit_with_memory(self, now: float, cost) -> Optional[Occupancy]:
-        """Admit the head-of-line request by KV footprint, not slot count.
+    # -- the shared admit/retire steps ----------------------------------------
+    def _admit(self, now: float, cost) -> Optional[Occupancy]:
+        """Take the head-of-line request into the batch as a prefill.
 
-        Returns None when the prompt's KV bytes fit neither in free DRAM
-        nor in DRAM plus free flash — the request then waits for in-flight
-        decodes to release residency.  An empty batch with no residency to
-        free means the config can never hold the request: that is a true
-        OOM, raised so sharding (which scales the spec) can rescue it.
+        Without a memory model a free slot is enough.  With one, the
+        prompt's KV bytes must fit in free DRAM, or in DRAM plus free
+        flash (paying the spill write on the prefill occupancy); otherwise
+        this returns None and the request waits for in-flight decodes to
+        release residency.  An empty batch with no residency to free means
+        the config can never hold the request: that is a true OOM, raised
+        so sharding (which scales the spec) can rescue it.
         """
-        memory = self.memory
-        rec = self.recorder
         record = self._waiting[0]
         request = record.source.request
-        footprint = memory.footprint(request)
-        prompt = footprint.prompt_bytes
-        free = memory.pool.free_bytes
-        if prompt <= free:
-            resident, spilled = prompt, 0
-        elif prompt <= free + memory.flash_free_bytes:
-            resident, spilled = free, prompt - free
-        elif not self._active:
-            raise ValueError(
-                f"prompt KV footprint ({prompt} bytes) does not fit in DRAM "
-                f"({memory.pool.capacity_bytes} bytes) plus flash spill space "
-                f"({memory.spill_capacity_bytes} bytes); the request can never "
-                "be admitted — shard the replica or scale the MemorySpec"
-            )
-        else:
-            if rec is not None:
-                rec.instant(
-                    self.track,
-                    "admit_blocked",
-                    now,
-                    {
-                        "request_id": record.request_id,
-                        "prompt_bytes": prompt,
-                        "free_dram_bytes": free,
-                        "free_flash_bytes": memory.flash_free_bytes,
-                    },
+        memory = self.memory
+        rec = self.recorder
+        resident = spilled = growth = 0
+        if memory is not None:
+            footprint = memory.footprint(request)
+            prompt = footprint.prompt_bytes
+            free = memory.pool.free_bytes
+            if prompt <= free:
+                resident = prompt
+            elif prompt <= free + memory.flash_free_bytes:
+                resident, spilled = free, prompt - free
+            elif not self._active:
+                raise ValueError(
+                    f"prompt KV footprint ({prompt} bytes) does not fit in DRAM "
+                    f"({memory.pool.capacity_bytes} bytes) plus flash spill space "
+                    f"({memory.spill_capacity_bytes} bytes); the request can never "
+                    "be admitted — shard the replica or scale the MemorySpec"
                 )
-            return None
+            else:
+                if rec is not None:
+                    rec.instant(
+                        self.track,
+                        "admit_blocked",
+                        now,
+                        {
+                            "request_id": record.request_id,
+                            "prompt_bytes": prompt,
+                            "free_dram_bytes": free,
+                            "free_flash_bytes": memory.flash_free_bytes,
+                        },
+                    )
+                return None
+            growth = footprint.step_bytes
         self._waiting.popleft()
-        memo = self._ttft_memo
-        hit = memo.get(id(request))
-        if hit is not None and hit[0] is request:
-            ttft = hit[1]
-        else:
-            ttft = cost.ttft(request)
-            if len(memo) >= self.MEMO_SIZE:
-                memo.clear()
-            memo[id(request)] = (request, ttft)
+        ttft = cost.ttft(request)
         gate = self.faults
         if gate is not None and gate.slow_factor != 1.0:
             # Slowdowns model compute, so only the prefill is repriced;
-            # the spill write below still pays modeled flash time.
+            # a spill write below still pays modeled flash time.
             ttft *= gate.slow_factor
-        io_seconds = 0.0
+        seconds = ttft
         if resident:
             memory.pool.admit(resident)
         if spilled:
-            io_seconds = memory.spill(spilled)
+            # The spill write rides on the prefill occupancy; first_token_s
+            # stays at now + ttft (the token exists before the cold KV moves).
+            seconds = ttft + memory.spill(spilled)
         record.prefill_start_s = now
         record.first_token_s = now + ttft
-        self._active.append(
-            [record, request.gen_tokens, request, resident, spilled, footprint.step_bytes]
-        )
+        active = self._active
+        active.append([record, request.gen_tokens, request, resident, spilled, growth])
         self._lanes += request.batch_size
         ident = id(request)
         payloads = self._payloads
@@ -687,26 +627,54 @@ class ContinuousBatchScheduler(Scheduler):
             payloads[ident] = [request, 1]
         else:
             counted[1] += 1
-        # The spill write rides on the prefill occupancy; first_token_s
-        # stays at now + ttft (the token exists before the cold KV moves).
         if rec is not None:
-            rec.instant(
-                self.track,
-                "admit",
-                now,
-                {
+            if memory is None:
+                args = {"request_id": record.request_id, "verdict": "slot"}
+            else:
+                args = {
                     "request_id": record.request_id,
                     "verdict": "dram" if not spilled else "dram+spill",
                     "resident_bytes": resident,
                     "spilled_bytes": spilled,
-                    "batch": len(self._active),
-                },
-            )
-            rec.instant(
-                memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
-            )
-        return Occupancy(PREFILL, ttft + io_seconds)
+                }
+            args["batch"] = len(active)
+            rec.instant(self.track, "admit", now, args)
+            if memory is not None:
+                rec.instant(
+                    memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
+                )
+        return Occupancy(PREFILL, seconds)
 
+    def _retire(self, steps: int) -> List[List]:
+        """Advance every batch member by ``steps`` decode steps.
+
+        Members whose generation ends release their lanes, their payload
+        count and any KV residency (DRAM and spilled flash bytes); their
+        entries are returned in batch order.
+        """
+        active = self._active
+        finished = []
+        for entry in active:
+            entry[1] -= steps
+            if entry[1] == 0:
+                finished.append(entry)
+        payloads = self._payloads
+        for entry in finished:
+            active.remove(entry)
+            request = entry[2]
+            self._lanes -= request.batch_size
+            counted = payloads[id(request)]
+            if counted[1] == 1:
+                del payloads[id(request)]
+            else:
+                counted[1] -= 1
+            if entry[3]:
+                self.memory.pool.release(entry[3])
+            if entry[4]:
+                self.memory.discard(entry[4])
+        return finished
+
+    # -- the memory model's own parts -----------------------------------------
     def _plan_refill(self) -> Optional[Occupancy]:
         """Move spilled KV back into free DRAM, oldest batch member first."""
         memory = self.memory
@@ -740,16 +708,15 @@ class ContinuousBatchScheduler(Scheduler):
             )
         return occupancy
 
-    def _decode_with_memory(
+    def _memory_steps(
         self,
         now: float,
         step: float,
         limit: int,
         cap: float,
-        max_steps: Optional[int] = None,
-        boundary: Optional[float] = None,
-    ) -> Occupancy:
-        """Plan decode steps under the memory model.
+        boundary: Optional[float],
+    ) -> Tuple[int, float, float, Optional[str]]:
+        """Size a decode window under the memory model and book its KV.
 
         Regime A (nothing spilled, the whole batch's per-step KV growth
         fits in DRAM): coalescing stays legal, additionally capped at the
@@ -760,6 +727,11 @@ class ContinuousBatchScheduler(Scheduler):
         regimes make the same integer ledger updates per step whether
         steps are coalesced or not, so ``max_steps=1`` and coalesced runs
         stay byte-identical.
+
+        Returns ``(steps, end, seconds, reason)``; ``reason`` names the
+        memory boundary that stopped the window (``dram_fill`` or
+        ``spill``), or is None when the window stopped where a memory-less
+        one would.
         """
         memory = self.memory
         active = self._active
@@ -767,10 +739,9 @@ class ContinuousBatchScheduler(Scheduler):
         growth = 0
         for entry in active:
             growth += entry[5]
-        regime_b = False
-        dram_capped = False
         if memory.spilled_bytes == 0 and growth <= pool.free_bytes:
             # Regime A — the DRAM-fill boundary caps the fast-forward.
+            dram_capped = False
             if growth:
                 fill = pool.free_bytes // growth
                 if fill < limit:
@@ -781,86 +752,34 @@ class ContinuousBatchScheduler(Scheduler):
                 pool.admit(steps * growth)
                 for entry in active:
                     entry[3] += steps * entry[5]
-            seconds = step if steps == 1 else end - now
-        else:
-            # Regime B — every step spills or touches flash; one step only.
-            regime_b = True
-            io_seconds = memory.readthrough_seconds()
-            free = pool.free_bytes
-            admitted = 0
-            spill_total = 0
-            for entry in active:
-                grow = entry[5]
-                take = grow if grow <= free else free
-                if take:
-                    entry[3] += take
-                    free -= take
-                    admitted += take
-                rest = grow - take
-                if rest:
-                    entry[4] += rest
-                    spill_total += rest
-            if admitted:
-                pool.admit(admitted)
-            if spill_total:
-                if spill_total > memory.flash_free_bytes:
-                    raise ValueError(
-                        f"decode-step KV growth ({spill_total} bytes) does not "
-                        "fit in the remaining flash spill space "
-                        f"({memory.flash_free_bytes} bytes); the batch has "
-                        "outgrown DRAM plus flash"
-                    )
-                io_seconds += memory.spill(spill_total)
-            steps = 1
-            seconds = step + io_seconds
-            end = now + seconds
-        finished = []
+            reason = "dram_fill" if dram_capped and steps == limit else None
+            return steps, end, step if steps == 1 else end - now, reason
+        # Regime B — every step spills or touches flash; one step only.
+        io_seconds = memory.readthrough_seconds()
+        free = pool.free_bytes
+        admitted = 0
+        spill_total = 0
         for entry in active:
-            entry[1] -= steps
-            if entry[1] == 0:
-                finished.append(entry)
-        payloads = self._payloads
-        for entry in finished:
-            active.remove(entry)
-            request = entry[2]
-            self._lanes -= request.batch_size
-            counted = payloads[id(request)]
-            if counted[1] == 1:
-                del payloads[id(request)]
-            else:
-                counted[1] -= 1
-            if entry[3]:
-                pool.release(entry[3])
-            if entry[4]:
-                memory.discard(entry[4])
-        rec = self.recorder
-        if rec is not None:
-            if regime_b:
-                reason = "spill"
-            elif dram_capped and steps == limit:
-                reason = "dram_fill"
-            else:
-                reason = _cap_reason(steps, limit, max_steps)
-            rec.instant(
-                self.track,
-                "coalesce",
-                now,
-                {
-                    "steps": steps,
-                    "reason": reason,
-                    "batch": len(active) + len(finished),
-                    "completed": len(finished),
-                },
-            )
-            # The DRAM level after this step's growth and the finished
-            # members' releases — the timeline's KV-occupancy series.
-            rec.instant(
-                memory.track, "dram", now, {"used_bytes": pool.used_bytes}
-            )
-        return Occupancy(
-            DECODE,
-            seconds,
-            [entry[0] for entry in finished],
-            steps=steps,
-            end_s=end,
-        )
+            grow = entry[5]
+            take = grow if grow <= free else free
+            if take:
+                entry[3] += take
+                free -= take
+                admitted += take
+            rest = grow - take
+            if rest:
+                entry[4] += rest
+                spill_total += rest
+        if admitted:
+            pool.admit(admitted)
+        if spill_total:
+            if spill_total > memory.flash_free_bytes:
+                raise ValueError(
+                    f"decode-step KV growth ({spill_total} bytes) does not "
+                    "fit in the remaining flash spill space "
+                    f"({memory.flash_free_bytes} bytes); the batch has "
+                    "outgrown DRAM plus flash"
+                )
+            io_seconds += memory.spill(spill_total)
+        seconds = step + io_seconds
+        return 1, now + seconds, seconds, "spill"

@@ -5,10 +5,12 @@ fault spec that never fires all run the same loop, so on the same
 schedule they must agree on every trace row, every queue-depth sample,
 the busy seconds and the event count.  Multi-device fleets with a
 deadline must stay byte-identical between coalesced and ``max_steps=1``
-runs, device assignment included.  Both are checked over generated
-schedules (seed x scheduler x batch width x output mode) with a
-derandomized, CI-sized hypothesis profile, plus a pinned fleet + deadline
-recipe whose coalesced windows straddle deadline expiries.
+runs, device assignment included, with or without a KV memory model on
+continuous-batching replicas.  Both are checked over generated schedules
+(seed x scheduler x batch width x output mode) with a derandomized,
+CI-sized hypothesis profile, plus pinned fleet recipes whose coalesced
+windows straddle deadline expiries or mid-window arrivals routed by DRAM
+headroom.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ from serving_toys import ToyBackend
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import ROUTERS, ShardingSpec, build_fleet, get_router, simulate_fleet
+from repro.memory import MemorySpec
 from repro.serving import (
     ContinuousBatchScheduler,
     DigestSink,
@@ -31,6 +34,7 @@ from repro.serving import (
     StaticBatchScheduler,
     simulate,
 )
+from repro.units import MiB
 
 #: Derandomized and CI-sized: every run draws the same examples.
 CI_PROFILE = settings(max_examples=50, derandomize=True, deadline=None)
@@ -42,6 +46,14 @@ SCHEDULERS = {
     "fcfs": lambda max_batch: FCFSScheduler(),
     "static": lambda max_batch: StaticBatchScheduler(max_batch=max_batch),
     "continuous": lambda max_batch: ContinuousBatchScheduler(max_batch=max_batch),
+}
+
+#: KV memory models a continuous-batching replica may carry: none, one
+#: that never fills, and one tight enough that admissions spill.
+MEMORY = {
+    "none": None,
+    "roomy": MemorySpec(dram_bytes=64 * 1024 * MiB),
+    "tight": MemorySpec(dram_bytes=384 * MiB),
 }
 
 #: How a run hands its records back: kept in memory, kept and streamed,
@@ -142,12 +154,19 @@ def test_serve_fleet_of_one_and_benign_faults_agree(
     num_devices=st.integers(2, 4),
     router=st.sampled_from(sorted(ROUTERS)),
     deadline_s=st.sampled_from([1.5, 3.0, 5.0, 12.0]),
+    memory=st.sampled_from(sorted(MEMORY)),
 )
 def test_deadline_fleets_are_byte_identical_coalesced_and_stepwise(
-    seed, rate, scheduler, max_batch, output, num_devices, router, deadline_s
+    seed, rate, scheduler, max_batch, output, num_devices, router, deadline_s, memory
 ):
     arrivals = _arrivals(seed, rate, count=80)
     keep_records, with_sink = OUTPUTS[output]
+    if scheduler == "continuous":
+        make = lambda: ContinuousBatchScheduler(  # noqa: E731
+            max_batch=max_batch, memory=MEMORY[memory]
+        )
+    else:
+        make = lambda: SCHEDULERS[scheduler](max_batch)  # noqa: E731
 
     def run(max_steps):
         sink = io.StringIO() if with_sink else None
@@ -155,7 +174,7 @@ def test_deadline_fleets_are_byte_identical_coalesced_and_stepwise(
             arrivals,
             build_fleet(
                 [ToyBackend(ttft=1.0, step=0.1)] * num_devices,
-                scheduler_factory=lambda: SCHEDULERS[scheduler](max_batch),
+                scheduler_factory=make,
             ),
             get_router(router),
             slo=SLO,
@@ -203,6 +222,33 @@ def test_fleet_deadline_recipe_matches_the_stepwise_reference():
     assert coalesced.assignments == stepwise.assignments
     assert coalesced.to_csv() == stepwise.to_csv()
     assert coalesced.faults.shed == stepwise.faults.shed > 0
+
+
+def _headroom_recipe(max_steps):
+    """Two single-slot replicas with roomy DRAM behind the headroom router:
+    a coalesced decode window books KV growth that an arrival landing
+    mid-window reads as DRAM headroom, so 33 of the 80 assignments differ
+    unless full-batch memory windows stop at the horizon."""
+    return simulate_fleet(
+        PoissonWorkload(9.0, _mixed_payload, seed=596).generate(80),
+        build_fleet(
+            [ToyBackend(ttft=1.0, step=0.1)] * 2,
+            scheduler_factory=lambda: ContinuousBatchScheduler(
+                max_batch=1, memory=MEMORY["roomy"]
+            ),
+        ),
+        get_router("headroom"),
+        slo=SLOSpec(ttft_s=10.0, e2e_s=60.0),
+        max_steps=max_steps,
+    )
+
+
+def test_headroom_memory_recipe_matches_the_stepwise_reference():
+    coalesced = _headroom_recipe(None)
+    stepwise = _headroom_recipe(1)
+    assert coalesced.assignments == stepwise.assignments
+    assert coalesced.to_csv() == stepwise.to_csv()
+    assert coalesced.num_events < stepwise.num_events
 
 
 def test_lazy_streams_run_every_resilience_handler():

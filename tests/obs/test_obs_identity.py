@@ -7,6 +7,7 @@ file pins that across the same serve/fleet x poisson/diurnal x
 memory-on/off battery the memory suite uses for its golden traces.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -128,6 +129,42 @@ def test_recorded_stream_is_seed_deterministic():
     _serve(WORKLOADS["poisson"](), memory=TIGHT_SPEC, recorder=second)
     assert first.events == second.events
     assert first.to_perfetto() == second.to_perfetto()
+
+
+#: sha256 of ``SpanRecorder.to_perfetto()`` for the poisson workload on
+#: one continuous-batching device: every admit, coalesce, admit_blocked,
+#: dram, spill, gc and refill instant the scheduler and memory model emit
+#: is pinned by name, args and order.
+RECORDER_STREAM_SHA256 = {
+    # memory=None, coalesced decode windows.
+    "bare": "ed3e8fe9dbd92ed668413151409b66693c1fbeee820966610ad2920431b8908a",
+    # Tight DRAM and a capped spill area at max_steps=1: admissions block,
+    # decode steps spill and GC, freed DRAM refills.
+    "tight": "bd4f263c16658794a1efbd985744d12c2e08bece328faf2e61274c69c98fca93",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDER_STREAM_SHA256))
+def test_scheduler_recorder_stream_is_pinned(case):
+    if case == "bare":
+        memory, max_steps = None, None
+    else:
+        memory = MemorySpec(dram_bytes=384 * MiB, spill_capacity_bytes=512 * MiB)
+        max_steps = 1
+    recorder = SpanRecorder()
+    simulate(
+        WORKLOADS["poisson"](),
+        ToyBackend(),
+        ContinuousBatchScheduler(max_batch=4, memory=memory),
+        slo=SLO,
+        max_steps=max_steps,
+        recorder=recorder,
+    )
+    names = {event[2] for event in recorder.instants()}
+    if memory is not None:
+        assert {"admit_blocked", "spill", "gc", "refill"} <= names
+    digest = hashlib.sha256(recorder.to_perfetto().encode()).hexdigest()
+    assert digest == RECORDER_STREAM_SHA256[case]
 
 
 def test_serve_recorder_sees_every_request_lifecycle():

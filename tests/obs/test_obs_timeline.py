@@ -135,6 +135,29 @@ def test_slo_columns_judge_each_completion():
     assert row["goodput_qps"] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("deadline_s", [5.0, 20.0])
+def test_timed_out_completions_are_slo_misses_in_the_timeline(deadline_s):
+    """A request the deadline marked ``timed_out`` still finishes and
+    emits a DECODE span, but it is a miss in the timeline exactly as in
+    the report, however fast its stamps look against a lax SLO."""
+    slo = SLOSpec(e2e_s=1000.0)
+    collector = TimelineCollector(slo=slo)
+    report = simulate(
+        PoissonWorkload(3.0, PAYLOAD, seed=1).generate(200),
+        ToyBackend(),
+        ContinuousBatchScheduler(max_batch=4),
+        slo=slo,
+        deadline_s=deadline_s,
+        recorder=collector,
+    )
+    rows = collector.to_rows()
+    met = sum(slo.met_by(record) for record in report.records)
+    assert report.faults.timed_out > 0
+    assert sum(row["completions"] for row in rows) > met
+    assert sum(row["slo_met"] for row in rows) == met
+    assert met == round(report.slo_attainment() * report.num_requests)
+
+
 def test_without_an_slo_the_goodput_columns_stay_blank():
     collector = TimelineCollector(window_s=10.0)
     _request(collector, 1, 0.0, 0.5, 2.0)

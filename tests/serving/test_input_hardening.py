@@ -1,8 +1,10 @@
-"""Non-finite thresholds and deadlines fail loudly instead of skewing a run.
+"""Non-finite thresholds, deadlines and fault knobs fail loudly.
 
 A NaN SLO threshold compares False against every latency, so it would
 silently report full attainment; a NaN or infinite deadline would never
-shed or time out a request.  Both are rejected with a ``ValueError``.
+shed or time out a request.  NaN fault rates, durations and window
+bounds, or NaN/infinite retry backoffs and hedge delays, slip past
+``<= 0`` checks the same way.  All are rejected with a ``ValueError``.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import build_fleet, simulate_fleet
 from repro.serving import PoissonWorkload, SLOSpec, simulate
 
@@ -41,3 +44,48 @@ def test_finite_thresholds_and_deadlines_still_run():
     arrivals = PoissonWorkload(2.0, PAYLOAD, seed=1).generate(5)
     report = simulate(arrivals, ToyBackend(), slo=SLOSpec(ttft_s=1e9), deadline_s=1e9)
     assert report.slo_attainment() == 1.0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, math.nan)
+        for name in (
+            "crash_mtbf_s", "crash_mttr_s", "slow_mtbf_s", "slow_duration_s", "slow_factor"
+        )
+    ]
+    + [("slow_factor", math.inf)],
+)
+def test_faultspec_rejects_non_finite_rates_and_durations(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FaultSpec(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "kind, window",
+    [
+        ("crash", (0, math.nan, 5.0)),
+        ("crash", (0, 1.0, math.nan)),
+        ("slow", (0, math.nan, 5.0)),
+        ("slow", (0, 1.0, math.nan)),
+        ("slow", (0, 1.0, 5.0, math.nan)),
+    ],
+)
+def test_faultspec_rejects_nan_windows(kind, window):
+    with pytest.raises(ValueError, match=f"bad {kind} window"):
+        FaultSpec(**{f"{kind}_windows": (window,)})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("backoff_s", math.nan),
+        ("backoff_s", math.inf),
+        ("multiplier", math.nan),
+        ("hedge_after_s", math.nan),
+        ("hedge_after_s", math.inf),
+    ],
+)
+def test_retry_policy_rejects_non_finite_knobs(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RetryPolicy(**{name: value})
