@@ -8,6 +8,7 @@ measures the resulting task accuracy.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -106,7 +107,10 @@ class ErrorInjectionStudy:
         accuracies_plain = []
         accuracies_ecc = []
         for trial in range(self.trials):
-            trial_seed = self.seed + 1000 * trial + hash(f"{error_rate:.3e}") % 997
+            # crc32, not hash(): str hashes are salted per process, which
+            # made the injected flips (and the accuracies) vary run to run.
+            rate_key = zlib.crc32(f"{error_rate:.3e}".encode()) % 997
+            trial_seed = self.seed + 1000 * trial + rate_key
             corrupted_pages = []
             corrected_pages = []
             for page_index, page in enumerate(self._pages):

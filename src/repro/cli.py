@@ -578,8 +578,10 @@ def _emit_attribution(args: argparse.Namespace, span_recorder) -> None:
 def _cache_stats_table(cost_models, runner: ExperimentRunner):
     """One (title, headers, rows) extra table for ``--show-cache-stats``.
 
-    ``latency *`` counters aggregate the distinct cost models' interned
-    scalar lookups; ``profile *`` is the shared runner's backend-eval view.
+    ``latency *`` counters aggregate the distinct cost models' scalar
+    lookups (``latency entries`` counts their value-keyed (payload, batch
+    width, field) latencies); ``profile *`` is the shared runner's
+    backend-eval view.
     """
     seen = set()
     latency = {"hits": 0, "misses": 0, "size": 0}

@@ -21,8 +21,8 @@ semantics of the single-device run on its own slice of the timeline:
 All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
 evaluations because every replica of the same backend hits the same
-memoized profiles.  With ``trace_sink``/``keep_records=False`` each
-request's trace row streams out the moment it is stamped and each
+memoized profiles.  With ``trace_sink``/``keep_records=False`` the
+trace rows stream out in chunks as requests are stamped and each
 record is folded into the metric store of the device that resolved it,
 so a million-request, hundred-device day runs in seconds holding
 O(in-flight) record state.
@@ -115,8 +115,8 @@ def simulate_fleet(
 
     ``trace_sink``/``keep_records`` stream the fleet trace exactly as in
     :func:`repro.serving.simulator.simulate`: rows (including the routed
-    device column) are written in arrival order the moment each request is
-    fully stamped, byte-identical to :meth:`FleetReport.to_csv`.  With
+    device column) are written in arrival order, in chunks, as requests
+    are fully stamped, byte-identical to :meth:`FleetReport.to_csv`.  With
     ``keep_records=False`` the loop folds each record into the metric
     store of the device that resolved it (the device its trace row
     names), sink or not, and the fleet-wide store merges them; the run

@@ -518,12 +518,13 @@ def _absorb_cache_info(
         cache.inc(cache_info[f"{layer}_hits"], layer=layer, result="hit", **labels)
         cache.inc(cache_info[f"{layer}_misses"], layer=layer, result="miss", **labels)
     size = registry.gauge(
-        "repro_backend_cache_size", "Interned cache entries per layer"
+        "repro_backend_cache_size", "Cached entries per layer"
     )
     size.set(cache_info["latency_size"], layer="latency", **labels)
     size.set(cache_info["profile_size"], layer="profile", **labels)
     registry.counter(
-        "repro_backend_cache_evictions_total", "Latency intern-table LRU evictions"
+        "repro_backend_cache_evictions_total",
+        "Latency-table evictions (always 0: the table is keyed by payload value)",
     ).inc(cache_info["latency_evictions"], **labels)
 
 

@@ -640,29 +640,29 @@ def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
     former ``DictWriter`` did — same ``str()`` float rendering, same
     quoting rules — keeping streamed and post-hoc traces byte-identical).
     """
-    request = record.request
-    incomplete = record.first_token_s is None or record.finish_s is None
+    source = record.source
+    request = source.request
+    arrival = source.arrival_s
+    start = record.prefill_start_s
+    first = record.first_token_s
+    finish = record.finish_s
     return [
-        record.request_id,
-        record.arrival_s,
+        source.request_id,
+        arrival,
         request.model_name,
         request.config or "",
         request.seq_len,
         request.gen_tokens,
         request.batch_size,
-        _blank_if_none(record.prefill_start_s),
-        _blank_if_none(record.first_token_s),
-        _blank_if_none(record.finish_s),
-        "" if record.prefill_start_s is None else record.queue_wait_s,
-        "" if record.first_token_s is None else record.ttft_s,
-        "" if incomplete else record.tpot_s,
-        "" if record.finish_s is None else record.e2e_s,
+        "" if start is None else start,
+        "" if first is None else first,
+        "" if finish is None else finish,
+        "" if start is None else start - arrival,
+        "" if first is None else first - arrival,
+        "" if first is None or finish is None else (finish - first) / request.gen_tokens,
+        "" if finish is None else finish - arrival,
         "" if slo is None else slo.met_by(record),
     ]
-
-
-def _blank_if_none(value: Optional[float]) -> object:
-    return "" if value is None else value
 
 
 def percentile_triplet(values: Dict[str, Optional[float]], scale: float = 1.0) -> str:

@@ -397,9 +397,9 @@ class ContinuousBatchScheduler(Scheduler):
         self.memory = memory
         #: Active sequences as [record, remaining decode steps, payload,
         #: resident DRAM bytes, spilled flash bytes, KV growth bytes per
-        #: step] (the payload is cached so the per-step pass skips the
-        #: record -> source -> request attribute chain; the three byte
-        #: slots stay 0 without a memory model).
+        #: step] (the payload is the cost model's canonical object for the
+        #: record's request, so per-step lookups resolve by identity; the
+        #: three byte slots stay 0 without a memory model).
         self._active: List[List] = []
         #: Batch-membership aggregates maintained incrementally on
         #: admission/release, so the per-step path never recomputes them:
@@ -452,8 +452,8 @@ class ContinuousBatchScheduler(Scheduler):
             refill = self._plan_refill()
             if refill is not None:
                 return refill
-        # The batch aggregates — total lanes and the distinct payload
-        # objects — are maintained incrementally on admission/release, so
+        # The batch aggregates — total lanes and the distinct canonical
+        # payloads — are maintained incrementally on admission/release, so
         # the per-step pass only finds the earliest in-batch completion.
         # Pricing each distinct payload once collapses the per-member
         # decode_step queries: max over distinct payloads equals max over
@@ -602,6 +602,10 @@ class ContinuousBatchScheduler(Scheduler):
                 return None
             growth = footprint.step_bytes
         self._waiting.popleft()
+        # From here on the batch holds the cost model's canonical payload:
+        # every later lookup on it resolves by identity, and equal payloads
+        # count as one distinct payload in the per-step pricing.
+        request = cost.canonical(request)
         ttft = cost.ttft(request)
         gate = self.faults
         if gate is not None and gate.slow_factor != 1.0:

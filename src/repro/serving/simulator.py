@@ -10,8 +10,8 @@ backend's analytical latencies; nothing here reads the wall clock, so a
 run is a pure function of ``(requests, scheduler, backend)`` and is
 exactly reproducible.  The event definition and the total order of
 simultaneous events behind the byte-identical-trace guarantee are
-documented in :mod:`repro.serving.events`; ``trace_sink`` streams each
-request's trace row out as soon as it is fully stamped, and
+documented in :mod:`repro.serving.events`; ``trace_sink`` streams the
+trace rows out in chunks as requests are fully stamped, and
 ``keep_records=False`` drops each record once the loop has folded it
 into the run's metric store, so a million-request run holds O(in-flight
 batch) record state.
@@ -22,9 +22,11 @@ each distinct request shape once through a memoizing
 :class:`repro.api.runner.ExperimentRunner` and serves every simulated
 occupancy from that cache, so a 10 000-request simulation typically costs
 only a handful of backend evaluations (one per distinct shape x batch
-width).  On top of the profile cache it interns every scalar latency per
-*payload object identity*, so the event loop's inner per-step queries are
-plain dict lookups that never re-hash an :class:`InferenceRequest`.
+width).  On top of the profile cache it keeps one latency table keyed by
+payload value, and :meth:`BackendCostModel.canonical` hands schedulers
+the first-seen payload of each value: the event loop's inner per-step
+queries on that object are plain identity lookups that never re-hash an
+:class:`InferenceRequest`.
 
 Fast-forward coalescing (the invariant)
 ---------------------------------------
@@ -50,7 +52,6 @@ also the first moment the uncoalesced loop could have *acted* on them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.backend import Backend
@@ -67,45 +68,24 @@ BackendLike = Union[str, Backend]
 #: Cache-miss sentinel distinguishing "absent" from a legitimate 0.0 latency.
 _MISSING = object()
 
-#: Default cap on the id-keyed intern table (see :class:`BackendCostModel`):
-#: far above any realistic in-flight set, far below a million-request run.
-DEFAULT_INTERN_CACHE_SIZE = 4096
-
 
 class BackendCostModel:
     """Per-phase latency oracle over one backend, memoized across queries."""
 
-    def __init__(
-        self,
-        backend: BackendLike,
-        runner: Optional[ExperimentRunner] = None,
-        *,
-        intern_cache_size: int = DEFAULT_INTERN_CACHE_SIZE,
-    ):
-        if intern_cache_size < 1:
-            raise ValueError("intern_cache_size must be at least 1")
+    def __init__(self, backend: BackendLike, runner: Optional[ExperimentRunner] = None):
         self._backend = backend
         self._runner = runner if runner is not None else ExperimentRunner()
-        #: (request, batch width, field) -> seconds; see :meth:`_latency`.
-        self._latency_cache: dict = {}
-        #: id(request) -> (request, {(batch width, field) -> seconds}).
-        #: Workloads reuse payload objects, so the hot path resolves a
-        #: latency by object identity without hashing the dataclass; the
-        #: stored request reference keeps the id stable for the entry's
-        #: lifetime.  Equal-but-distinct payloads still share results
-        #: through ``_latency_cache``.  The table is LRU-bounded at
-        #: ``intern_cache_size`` entries: generator-style workloads build
-        #: a fresh payload object per request, and without a cap a
-        #: million-request run interns a million dead entries.  Eviction
-        #: only costs the evicted object its fast path — the keyed
-        #: ``_latency_cache`` still answers without re-profiling.
-        self._interned: "OrderedDict[int, Tuple[InferenceRequest, dict]]" = (
-            OrderedDict()
-        )
-        self._intern_cache_size = intern_cache_size
+        #: payload value -> (canonical payload, {(batch width, field) ->
+        #: seconds}): one entry per distinct request shape, however many
+        #: equal payload objects a workload builds.
+        self._table: Dict[InferenceRequest, Tuple[InferenceRequest, dict]] = {}
+        #: id(canonical payload) -> its ``_table`` entry, the hot path: a
+        #: lookup by object identity never hashes the dataclass.  It never
+        #: evicts — ``_table`` pins every canonical object, so no id here
+        #: can be reused by another object.
+        self._by_id: Dict[int, Tuple[InferenceRequest, dict]] = {}
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
 
     @property
     def backend_name(self) -> str:
@@ -113,38 +93,41 @@ class BackendCostModel:
             return self._backend
         return self._backend.name
 
+    def _entry(self, request: InferenceRequest) -> Tuple[InferenceRequest, dict]:
+        """The table entry of ``request``'s value, created on first sight."""
+        entry = self._table.get(request)
+        if entry is None:
+            entry = (request, {})
+            self._table[request] = entry
+            self._by_id[id(request)] = entry
+        return entry
+
+    def canonical(self, request: InferenceRequest) -> InferenceRequest:
+        """The first-seen payload equal to ``request`` (hashes it once).
+
+        Schedulers price the canonical object, so every later latency
+        lookup on it resolves by identity, and equal payloads in a batch
+        are one object.
+        """
+        return self._entry(request)[0]
+
     def _latency(
         self, request: InferenceRequest, batch_size: Optional[int], field: str
     ) -> float:
         """One scalar latency, memoized locally so the event loop's inner
         per-step queries skip the request rebuild and the runner's lock."""
         batch = batch_size if batch_size is not None else request.batch_size
-        interned = self._interned
-        ident = id(request)
-        entry = interned.get(ident)
-        if entry is None or entry[0] is not request:
-            entry = (request, {})
-            interned[ident] = entry
-            interned.move_to_end(ident)
-            if len(interned) > self._intern_cache_size:
-                interned.popitem(last=False)
-                self._evictions += 1
-        else:
-            interned.move_to_end(ident)
+        entry = self._by_id.get(id(request))
+        if entry is None:
+            entry = self._entry(request)
         table = entry[1]
         slot = (batch, field)
         value = table.get(slot, _MISSING)
         if value is not _MISSING:
             self._hits += 1
             return value
-        key = (request, batch, field)
-        value = self._latency_cache.get(key, _MISSING)
-        if value is _MISSING:
-            self._misses += 1
-            value = getattr(self.profile(request, batch_size), field)
-            self._latency_cache[key] = value
-        else:
-            self._hits += 1
+        self._misses += 1
+        value = getattr(self.profile(request, batch_size), field)
         table[slot] = value
         return value
 
@@ -187,19 +170,20 @@ class BackendCostModel:
         """Latency-lookup and backend-profile cache counters.
 
         ``latency_*`` counts this model's scalar lookups (a miss is a
-        lookup that had to consult :meth:`profile`); ``latency_evictions``
-        counts intern-table entries dropped by the LRU cap (evictions
-        never force a re-profile, they only retire an object-identity
-        fast path); ``profile_*`` is the shared
-        :class:`ExperimentRunner`'s view, which spans every cost model
-        attached to that runner.
+        lookup that had to consult :meth:`profile`); ``latency_size`` is
+        the number of (payload value, batch width, field) latencies held;
+        ``latency_evictions`` is always 0 (the table is keyed by payload
+        value, so it grows with distinct request shapes, never with
+        payload objects, and nothing is evicted); ``profile_*`` is the
+        shared :class:`ExperimentRunner`'s view, which spans every cost
+        model attached to that runner.
         """
         profile = self._runner.cache_info()
         return {
             "latency_hits": self._hits,
             "latency_misses": self._misses,
-            "latency_size": len(self._latency_cache),
-            "latency_evictions": self._evictions,
+            "latency_size": sum(len(entry[1]) for entry in self._table.values()),
+            "latency_evictions": 0,
             "profile_hits": profile["hits"],
             "profile_misses": profile["misses"],
             "profile_size": profile["size"],
@@ -275,9 +259,10 @@ def simulate(
     :meth:`ServingReport.meets_slo`, and sets ``early_exit``.
 
     Streaming output: ``trace_sink`` (a path or a file-like object)
-    receives each request's trace-CSV row the moment the request is fully
-    stamped — byte-identical to :meth:`ServingReport.to_csv`, rows in
-    arrival order.  ``keep_records=False`` drops each record once the loop
+    receives the trace-CSV rows in chunks as requests are fully stamped
+    (the last chunk at the end of the run, or when it raises) —
+    byte-identical to :meth:`ServingReport.to_csv`, rows in arrival
+    order.  ``keep_records=False`` drops each record once the loop
     has folded it into the run's
     :class:`repro.serving.metrics.StreamedMetrics` store (sink or not), so
     a million-request run holds O(in-flight batch) record state: the

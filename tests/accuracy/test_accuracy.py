@@ -1,7 +1,13 @@
 """Tests for the accuracy proxy and the error-injection study."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.accuracy.evaluation import ErrorInjectionStudy
 from repro.accuracy.proxy_model import ProxyLLM
@@ -125,3 +131,29 @@ def test_invalid_study_arguments_rejected():
         ErrorInjectionStudy(paper_tasks()["arc"], trials=0)
     with pytest.raises(ValueError):
         ErrorInjectionStudy(paper_tasks()["arc"], trials=1).evaluate_rate(-1e-4)
+
+
+def test_injected_errors_do_not_depend_on_the_hash_seed():
+    """Trial seeds must not come from the per-process salted ``str`` hash:
+    two interpreters with different hash seeds inject the same flips."""
+    code = (
+        "from repro.accuracy.evaluation import ErrorInjectionStudy\n"
+        "from repro.accuracy.tasks import paper_tasks\n"
+        "study = ErrorInjectionStudy(paper_tasks()['hellaswag'], trials=1)\n"
+        "result = study.evaluate_rate(1e-3)\n"
+        "print(result.accuracy_without_ecc, result.accuracy_with_ecc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = set()
+    for hash_seed in ("1", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1

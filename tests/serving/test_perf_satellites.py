@@ -1,7 +1,5 @@
 """Satellites of the perf PR: cache counters and cheap capacity probes."""
 
-import pytest
-
 from serving_toys import ToyBackend
 
 from repro.api import ExperimentRunner, InferenceRequest
@@ -47,15 +45,28 @@ def test_cost_model_interns_identical_payload_objects():
 
 
 def test_cost_model_shares_results_across_equal_but_distinct_payloads():
-    """An equal payload built separately reuses the keyed cache (one
-    profile), it just pays one extra keyed lookup."""
+    """The latency table is keyed by payload value: equal payload objects
+    built separately share one entry, and each (shape, width, field) is
+    profiled once."""
     backend = ToyBackend()
     cost = BackendCostModel(backend)
-    twin = InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=10)
-    assert twin == PAYLOAD and twin is not PAYLOAD
-    assert cost.ttft(PAYLOAD) == cost.ttft(twin)
+    twins = [
+        InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=10)
+        for _ in range(5)
+    ]
+    assert twins[0] == PAYLOAD and twins[0] is not PAYLOAD
+    assert cost.ttft(PAYLOAD) == cost.ttft(twins[0])
     assert backend.calls == 1
-    assert cost.cache_info()["latency_misses"] == 1
+    other = PAYLOAD.with_overrides(seq_len=200)
+    for payload in twins + [other]:
+        cost.ttft(payload)
+        cost.decode_step(payload, batch_size=2)
+        cost.decode_step(payload, batch_size=3)
+    info = cost.cache_info()
+    assert info["latency_size"] == 2 * 3
+    assert info["latency_misses"] == 2 * 3
+    assert info["latency_evictions"] == 0
+    assert backend.calls == 2 * 3
 
 
 def test_runner_stats_matches_cache_info_plus_in_flight():
@@ -122,32 +133,20 @@ def test_search_shares_one_cost_model_across_probes():
     assert info["latency_hits"] > info["latency_misses"]
 
 
-def test_intern_table_is_lru_bounded_and_counts_evictions():
-    """Distinct payload objects beyond the cap evict oldest-used first;
-    evictions never force a re-profile (the keyed cache still answers)."""
-    cost = BackendCostModel(ToyBackend(), intern_cache_size=2)
+def test_canonical_returns_the_first_seen_object():
+    cost = BackendCostModel(ToyBackend())
     first = PAYLOAD.with_overrides(seq_len=100)
-    second = PAYLOAD.with_overrides(seq_len=200)
-    third = PAYLOAD.with_overrides(seq_len=100)  # equal to first, distinct object
-    cost.ttft(first)
-    cost.ttft(second)
-    assert cost.cache_info()["latency_evictions"] == 0
-    cost.ttft(third)  # interning a third object evicts `first`
-    info = cost.cache_info()
-    assert info["latency_evictions"] == 1
-    # `third` equals `first`, so the keyed cache answered without profiling.
-    assert info["latency_misses"] == 2
-    # Re-pricing the evicted object re-interns it (evicting `second`) but
-    # is still a keyed-cache hit, not a backend re-evaluation.
-    cost.ttft(first)
-    info = cost.cache_info()
-    assert info["latency_evictions"] == 2
-    assert info["latency_misses"] == 2
-
-
-def test_intern_cache_size_must_be_positive():
-    with pytest.raises(ValueError, match="intern_cache_size"):
-        BackendCostModel(ToyBackend(), intern_cache_size=0)
+    twin = PAYLOAD.with_overrides(seq_len=100)
+    assert twin == first and twin is not first
+    assert cost.canonical(first) is first
+    assert cost.canonical(twin) is first
+    # A payload first seen through a latency lookup becomes canonical too.
+    cost.ttft(PAYLOAD)
+    assert cost.canonical(
+        InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=10)
+    ) is PAYLOAD
+    # Canonicalizing profiles nothing.
+    assert cost.cache_info()["profile_misses"] == 1
 
 
 def test_percentiles_sort_each_metric_exactly_once(monkeypatch):
